@@ -20,14 +20,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <optional>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "core/kernels/kernel_backend.hpp"
 #include "core/localizer.hpp"
 #include "eval/experiment.hpp"
 #include "eval/metrics.hpp"
@@ -753,6 +758,24 @@ TEST(StaleMapStats, WarehouseLightStalenessIsSurvivable) {
   EXPECT_GE(o.baseline_fail, 1u) << "of " << o.seeds;
 }
 
+/// Names the file RepeatedRunsAreBitIdentical writes its scenario_trace()
+/// dump to; CI diffs the files of two processes.
+constexpr const char* kScenarioTraceEnv = "TOFMCL_SCENARIO_TRACE";
+
+/// Hexfloat dump of one scenario run: a header line, one line per error
+/// sample, then the final pose. Both the cross-process trace file and the
+/// golden digests below are taken over exactly these bytes.
+std::string scenario_trace(const std::string& name, const ScenarioResult& r) {
+  std::ostringstream out;
+  out << std::hexfloat << name << " updates=" << r.updates_run << '\n';
+  for (const eval::ErrorSample& e : r.errors) {
+    out << e.t << ' ' << e.pos_error << ' ' << e.yaw_error << '\n';
+  }
+  out << r.final_pose.x() << ' ' << r.final_pose.y() << ' '
+      << r.final_pose.yaw << '\n';
+  return out.str();
+}
+
 // Run-to-run determinism: the same scenario executed twice in the same
 // process yields a bitwise-identical trace (fixed seeds, no hidden global
 // state). For CROSS-process determinism, set TOFMCL_SCENARIO_TRACE to a
@@ -765,17 +788,68 @@ TEST(ScenarioMatrixDeterminism, RepeatedRunsAreBitIdentical) {
   const ScenarioResult second = run_scenario(s, exec);
   expect_bit_identical(first, second, s.name + " repeat");
 
-  if (const char* path = std::getenv("TOFMCL_SCENARIO_TRACE")) {
+  if (const char* path = std::getenv(kScenarioTraceEnv)) {
     std::ofstream out(path);
     ASSERT_TRUE(out.is_open()) << path;
-    out << std::hexfloat << s.name << " updates=" << first.updates_run
-        << '\n';
-    for (const eval::ErrorSample& e : first.errors) {
-      out << e.t << ' ' << e.pos_error << ' ' << e.yaw_error << '\n';
-    }
-    out << first.final_pose.x() << ' ' << first.final_pose.y() << ' '
-        << first.final_pose.yaw << '\n';
+    out << scenario_trace(s.name, first);
   }
+}
+
+// ---- Golden digests (ctest entry test_scenario_matrix_golden) ------------
+//
+// Run-vs-run gates cannot see a change that moves every run the same way.
+// These pin the scalar reference to committed 64-bit FNV-1a digests of
+// the scenario_trace() dump: the fp32 direct model, the fp32qm LUT model
+// (both two-term) and the short-return mixture with novelty gating. A
+// change that alters a trace on purpose updates the constant in the same
+// diff; the failure message prints the recomputed digest.
+//
+// The digests depend on libm's float trig/exp, so they hold for the
+// toolchain they came from: Debian glibc 2.36, GCC 12, x86-64.
+// tests/CMakeLists.txt runs this suite with TOFMCL_KERNEL=scalar.
+
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+Scenario matrix_scenario(const std::string& name) {
+  for (const Scenario& s : scenario_matrix()) {
+    if (s.name == name) return s;
+  }
+  throw std::invalid_argument("no scenario named " + name);
+}
+
+void expect_golden_digest(const Scenario& s, std::uint64_t golden) {
+  if (core::kernels::default_backend() != core::kernels::KernelBackend::kScalar) {
+    GTEST_SKIP() << "golden digests pin the scalar reference; run with "
+                    "TOFMCL_KERNEL=scalar";
+  }
+  core::SerialExecutor exec;
+  const std::uint64_t digest =
+      fnv1a64(scenario_trace(s.name, run_scenario(s, exec)));
+  char recomputed[32];
+  std::snprintf(recomputed, sizeof(recomputed), "0x%016llx",
+                static_cast<unsigned long long>(digest));
+  EXPECT_EQ(digest, golden) << s.name << ": recomputed digest " << recomputed;
+}
+
+TEST(ScenarioGolden, SmallMazeGlobal) {
+  expect_golden_digest(matrix_scenario("small_maze_global"),
+                       0xb3a8d518037a9721ull);
+}
+
+TEST(ScenarioGolden, TrackingDegradedQuantized) {
+  expect_golden_digest(matrix_scenario("tracking_degraded_quantized"),
+                       0x8d47751348d6b592ull);
+}
+
+TEST(ScenarioGolden, WarehouseCrowdCrossing) {
+  expect_golden_digest(crowd_crossing_warehouse(), 0x7d86421f9bf1aa42ull);
 }
 
 }  // namespace
