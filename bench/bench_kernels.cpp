@@ -1,6 +1,6 @@
 // Kernel-backend benchmark: observation-sweep throughput per KernelBackend
-// (scalar reference vs the AVX2/NEON SIMD paths of src/core/kernels/) and
-// per weight representation (fp32, fp32-compute/fp16-store, native fp16).
+// (scalar reference vs the AVX2 SIMD path of src/core/kernels/) and per
+// weight representation (fp32, fp32-compute/fp16-store, native fp16).
 //
 // Self-contained (no Google Benchmark): each variant times repeated
 // observation_update() calls over the evaluation grid, resetting the
@@ -119,7 +119,7 @@ std::vector<sensor::Beam> synthetic_beams(std::size_t count) {
 struct Entry {
   std::string variant;   ///< fp32qm / fp32qm_mixture / fp16qm.
   std::string weights;   ///< fp32 / fp16-store / fp16.
-  std::string backend;   ///< scalar / avx2 / neon.
+  std::string backend;   ///< scalar / avx2.
   double seconds = 0.0;
   std::size_t iterations = 0;
   double particles_beams_per_s = 0.0;
@@ -195,9 +195,8 @@ int main(int argc, char** argv) {
 
   std::vector<kernels::KernelBackend> backends{
       kernels::KernelBackend::kScalar};
-  for (const auto b :
-       {kernels::KernelBackend::kAvx2, kernels::KernelBackend::kNeon}) {
-    if (kernels::backend_supported(b)) backends.push_back(b);
+  if (kernels::backend_supported(kernels::KernelBackend::kAvx2)) {
+    backends.push_back(kernels::KernelBackend::kAvx2);
   }
 
   // Variant sweep. The scalar entry of each variant is the reference its

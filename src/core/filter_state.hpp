@@ -20,7 +20,7 @@
 /// eviction and snapshot/restore possible in the serving layer.
 ///
 /// The observation structs (PoseEstimate, UpdateWorkload, InjectionMonitor,
-/// BeamAux) live here rather than in particle_filter.hpp because they ARE
+/// SweepBeam) live here rather than in particle_filter.hpp because they ARE
 /// filter state — the filter template only operates on them.
 
 #include <array>
@@ -71,11 +71,13 @@ struct InjectionMonitor {
   double last_inject_p = 0.0;  ///< Injection fraction of the last resample.
 };
 
-/// Per-beam state of the mixture/gating path, computed once per update.
-struct BeamAux {
+/// One beam as the observation kernels see it, computed once per update:
+/// the body-frame end point plus its mixture state. Novelty-gated beams
+/// never enter the sweep array.
+struct SweepBeam {
+  Vec2f endpoint_body;
   float floor = 0.0f;  ///< Short-return floor added to every factor.
   float scale = 1.0f;  ///< 1 / (z_hit + z_rand + floor).
-  bool gated = false;  ///< Excluded from the weight product.
 };
 
 /// Everything a running filter mutates, in one relocatable aggregate.
@@ -84,7 +86,7 @@ struct BeamAux {
 /// `rngs` + `resample_rng`, `estimate`, `monitor` and `blind_streak` are
 /// the persistent state; everything else is scratch that the next update
 /// fully rewrites (`back_buffer` is repartitioned by every resample,
-/// `beam_aux`/chunk sums are per-update) or bookkeeping of the storage
+/// `sweep_beams`/chunk sums are per-update) or bookkeeping of the storage
 /// itself (`block_capacity`) and is deliberately NOT serialized.
 template <typename Scalar>
 struct FilterState {
@@ -103,8 +105,8 @@ struct FilterState {
   /// Consecutive corrections in which the gate excluded EVERY beam.
   std::size_t blind_streak = 0;
 
-  /// Scratch: per-beam mixture/gating state of the current update.
-  std::vector<BeamAux> beam_aux;
+  /// Scratch: the current update's non-gated beams, in input order.
+  std::vector<SweepBeam> sweep_beams;
   /// Scratch: per-chunk weight sums of the current resample.
   std::vector<double> chunk_sums;
   std::vector<double> chunk_sq_sums;

@@ -11,8 +11,6 @@ const char* to_string(KernelBackend backend) {
       return "scalar";
     case KernelBackend::kAvx2:
       return "avx2";
-    case KernelBackend::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -23,12 +21,6 @@ bool backend_compiled(KernelBackend backend) {
       return true;
     case KernelBackend::kAvx2:
 #if defined(TOFMCL_KERNELS_AVX2)
-      return true;
-#else
-      return false;
-#endif
-    case KernelBackend::kNeon:
-#if defined(TOFMCL_KERNELS_NEON)
       return true;
 #else
       return false;
@@ -48,30 +40,23 @@ bool backend_supported(KernelBackend backend) {
     return false;
 #endif
   }
-  // NEON is baseline on aarch64 — compiled in implies supported.
   return true;
 }
 
 KernelBackend best_supported_backend() {
-  if (backend_supported(KernelBackend::kAvx2)) return KernelBackend::kAvx2;
-  if (backend_supported(KernelBackend::kNeon)) return KernelBackend::kNeon;
-  return KernelBackend::kScalar;
+  return backend_supported(KernelBackend::kAvx2) ? KernelBackend::kAvx2
+                                                 : KernelBackend::kScalar;
 }
 
 KernelBackend default_backend() {
   static const KernelBackend resolved = [] {
     if (const char* env = std::getenv("TOFMCL_KERNEL")) {
-      if (std::strcmp(env, "avx2") == 0 &&
-          backend_supported(KernelBackend::kAvx2)) {
-        return KernelBackend::kAvx2;
-      }
-      if (std::strcmp(env, "neon") == 0 &&
-          backend_supported(KernelBackend::kNeon)) {
-        return KernelBackend::kNeon;
-      }
       // "scalar", anything unknown, or an unsupported request: the
       // reference path is always safe.
-      return KernelBackend::kScalar;
+      return std::strcmp(env, "avx2") == 0 &&
+                     backend_supported(KernelBackend::kAvx2)
+                 ? KernelBackend::kAvx2
+                 : KernelBackend::kScalar;
     }
     return best_supported_backend();
   }();

@@ -3,10 +3,10 @@
 /// \brief Runtime-dispatched SIMD backend selection for the hot kernels.
 ///
 /// The scalar code in particle_filter.hpp is the determinism reference —
-/// it is what every committed trace (TOFMCL_SCENARIO_TRACE /
-/// TOFMCL_SERVE_TRACE) was produced with and stays byte-for-byte
-/// unchanged. The SIMD backends in this directory are hand-written ports
-/// of the same arithmetic:
+/// the committed golden digests of the scenario traces
+/// (tests/test_scenario_matrix.cpp, ScenarioGolden) pin it. The SIMD
+/// backend in this directory is a hand-written port of the same
+/// arithmetic:
 ///
 ///  * kAvx2 — 8-wide AVX2 + F16C. Written to match the scalar kernel
 ///    operation for operation (same float association, no FMA
@@ -14,14 +14,13 @@
 ///    libm trig per lane), so on x86 builds it is bit-identical to the
 ///    reference in practice; the equivalence tests still gate it by weight
 ///    ULP delta + pose ATE rather than assuming it.
-///  * kNeon — 4-wide NEON port of the same structure (aarch64 builds).
 ///
-/// Backends are compiled in per architecture (TOFMCL_KERNELS_AVX2 /
-/// TOFMCL_KERNELS_NEON, set by src/core/CMakeLists.txt), probed at
-/// runtime, and selectable via the TOFMCL_KERNEL environment variable
-/// (`scalar`, `avx2`, `neon`). Unknown or unsupported requests fall back
-/// to scalar — the safe reference. Without an override the best supported
-/// backend is used.
+/// A backend is compiled in per architecture (TOFMCL_KERNELS_AVX2, set by
+/// src/core/CMakeLists.txt), probed at runtime, and selectable via the
+/// TOFMCL_KERNEL environment variable (`scalar`, `avx2`). Unknown or
+/// unsupported requests fall back to scalar — the safe reference. Without
+/// an override the best supported backend is used. A port to another ISA
+/// adds an enum value, a kernels_<isa>.cpp and a dispatch case.
 ///
 /// The backend is deliberately NOT part of MclConfig / the scoring
 /// fingerprint: it changes how fast the sweep runs, not (within the gated
@@ -33,7 +32,6 @@ namespace tofmcl::core::kernels {
 enum class KernelBackend {
   kScalar,  ///< The reference loops in particle_filter.hpp.
   kAvx2,    ///< 8-wide AVX2 + F16C (x86-64).
-  kNeon,    ///< 4-wide NEON (aarch64).
 };
 
 const char* to_string(KernelBackend backend);

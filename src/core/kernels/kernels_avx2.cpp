@@ -1,10 +1,10 @@
 /// \file kernels_avx2.cpp
 /// \brief AVX2 + F16C observation sweep (8 particles per block).
 ///
-/// A lane-for-lane port of ParticleFilter::observation_step{,_mixture}
-/// (the scalar determinism reference). Every arithmetic choice here
-/// exists to reproduce the reference bit for bit on builds that do not
-/// contract FMAs:
+/// A lane-for-lane port of ParticleFilter::observation_step (the scalar
+/// determinism reference). Every arithmetic choice here exists to
+/// reproduce the reference bit for bit on builds that do not contract
+/// FMAs:
 ///
 ///  * The endpoint transform keeps the scalar association
 ///    ((x + c·bx) − s·by, (y + s·bx) + c·by) as separate mul/add/sub —
@@ -23,8 +23,8 @@
 ///    bit-identically to the software tofmcl::Half path (pinned by
 ///    tests/test_half.cpp against an exhaustive oracle).
 ///
-/// This is the ONLY translation unit (with kernels_neon.cpp) allowed to
-/// use vendor intrinsics — enforced by the `raw-intrinsics` lint rule.
+/// Vendor intrinsics are confined to this directory — enforced by the
+/// `raw-intrinsics` lint rule.
 
 #if defined(TOFMCL_KERNELS_AVX2)
 
@@ -85,7 +85,6 @@ std::size_t sweep(const LutMapView& m, const BeamSweepView& bv,
   const __m256d origin_x = _mm256_set1_pd(m.origin_x);
   const __m256d origin_y = _mm256_set1_pd(m.origin_y);
   const __m256d resolution = _mm256_set1_pd(m.resolution);
-  const __m256 per_beam_scale = _mm256_set1_ps(bv.per_beam_scale);
   for (std::size_t blk = 0; blk < blocks; ++blk) {
     const std::size_t i0 = begin + blk * kLanes;
     const __m256 x = Io::load(p.x + i0);
@@ -103,9 +102,9 @@ std::size_t sweep(const LutMapView& m, const BeamSweepView& bv,
     __m256 w = Io::load(p.weight + i0);
 
     for (std::size_t b = 0; b < bv.count; ++b) {
-      if (bv.aux != nullptr && bv.aux[b].gated) continue;
-      const __m256 bx = _mm256_set1_ps(bv.beams[b].endpoint_body.x);
-      const __m256 by = _mm256_set1_ps(bv.beams[b].endpoint_body.y);
+      const SweepBeam& beam = bv.beams[b];
+      const __m256 bx = _mm256_set1_ps(beam.endpoint_body.x);
+      const __m256 by = _mm256_set1_ps(beam.endpoint_body.y);
       // ex = (x + c·bx) − s·by ; ey = (y + s·bx) + c·by — the reference
       // association, no FMA.
       const __m256 ex = _mm256_sub_ps(
@@ -130,13 +129,11 @@ std::size_t sweep(const LutMapView& m, const BeamSweepView& bv,
                           static_cast<std::size_t>(cx)];
         factor[l] = m.lut[code];
       }
-      __m256 f = _mm256_load_ps(factor);
-      if (bv.aux != nullptr) {
-        f = _mm256_mul_ps(_mm256_add_ps(f, _mm256_set1_ps(bv.aux[b].floor)),
-                          _mm256_set1_ps(bv.aux[b].scale));
-      } else {
-        f = _mm256_mul_ps(f, per_beam_scale);
-      }
+      // w *= (factor + floor) * scale
+      const __m256 f =
+          _mm256_mul_ps(_mm256_add_ps(_mm256_load_ps(factor),
+                                      _mm256_set1_ps(beam.floor)),
+                        _mm256_set1_ps(beam.scale));
       w = _mm256_mul_ps(w, f);
     }
 

@@ -16,13 +16,6 @@ std::size_t dispatch(KernelBackend backend, const LutMapView& map,
 #else
       break;
 #endif
-    case KernelBackend::kNeon:
-#if defined(TOFMCL_KERNELS_NEON)
-      return observation_sweep_neon(map, beams, particles, begin, end,
-                                    fp16_weights);
-#else
-      break;
-#endif
     case KernelBackend::kScalar:
       break;
   }

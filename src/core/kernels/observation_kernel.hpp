@@ -3,12 +3,12 @@
 /// \brief SIMD entry points for the observation sweep.
 ///
 /// The ParticleFilter's observation sweep (particle_filter.hpp,
-/// observation_step{,_mixture}) is the hot loop of the whole system:
-/// particles × beams endpoint transforms + quantized-map lookups + weight
-/// products. This header is the seam between the header-template filter
-/// and the backend translation units: plain-old-data views of everything
-/// the sweep reads (no templates, no intrinsics), plus one dispatch
-/// function per particle-scalar layout.
+/// observation_step) is the hot loop of the whole system: particles ×
+/// beams endpoint transforms + quantized-map lookups + weight products.
+/// This header is the seam between the header-template filter and the
+/// backend translation units: plain-old-data views of everything the
+/// sweep reads (no templates, no intrinsics), plus one dispatch function
+/// per particle-scalar layout.
 ///
 /// Contract with the caller (ParticleFilter::observation_sweep):
 ///  * observation_sweep() processes a PREFIX of [begin, end) — whole
@@ -20,10 +20,10 @@
 ///    table gather. The DirectObservationModel (float EDT + expf) stays
 ///    on the scalar path — the caller never dispatches it here.
 ///  * Backends replicate the scalar kernel's exact float association
-///    (see particle_filter.hpp transform_endpoint) and the quantized
-///    map's double-precision cell indexing (map/distance_map.hpp
-///    code_at), so equivalence holds to bit level wherever the build does
-///    not contract FMAs; the tests gate on weight ULP + pose ATE.
+///    (see particle_filter.hpp observation_step) and the quantized map's
+///    double-precision cell indexing (map/distance_map.hpp code_at), so
+///    equivalence holds to bit level wherever the build does not contract
+///    FMAs; the tests gate on weight ULP + pose ATE.
 
 #include <cstddef>
 #include <cstdint>
@@ -31,7 +31,6 @@
 #include "core/filter_state.hpp"
 #include "core/kernels/kernel_backend.hpp"
 #include "fp16/half.hpp"
-#include "sensor/beam_model.hpp"
 
 namespace tofmcl::core::kernels {
 
@@ -50,15 +49,12 @@ struct LutMapView {
   const float* lut = nullptr;  ///< 256 entries.
 };
 
-/// Per-update beam state. `aux` is null on the legacy (non-mixture) path,
-/// where every beam multiplies by factor * per_beam_scale; non-null
-/// selects the mixture path ((factor + aux.floor) * aux.scale, gated
-/// beams skipped) with one entry per beam.
+/// The update's sweep beams (ParticleFilter::prepare_beams): each one
+/// multiplies the weight by (factor + floor) * scale. Gated beams are
+/// already left out.
 struct BeamSweepView {
-  const sensor::Beam* beams = nullptr;
-  const BeamAux* aux = nullptr;
+  const SweepBeam* beams = nullptr;
   std::size_t count = 0;
-  float per_beam_scale = 1.0f;
 };
 
 /// SoA particle field pointers, fp32 layout (Fp32QmTraits).
@@ -101,16 +97,6 @@ std::size_t observation_sweep_avx2(const LutMapView& map,
                                    std::size_t begin, std::size_t end,
                                    bool fp16_weights);
 std::size_t observation_sweep_avx2(const LutMapView& map,
-                                   const BeamSweepView& beams,
-                                   const SweepSpansF16& particles,
-                                   std::size_t begin, std::size_t end,
-                                   bool fp16_weights);
-std::size_t observation_sweep_neon(const LutMapView& map,
-                                   const BeamSweepView& beams,
-                                   const SweepSpansF32& particles,
-                                   std::size_t begin, std::size_t end,
-                                   bool fp16_weights);
-std::size_t observation_sweep_neon(const LutMapView& map,
                                    const BeamSweepView& beams,
                                    const SweepSpansF16& particles,
                                    std::size_t begin, std::size_t end,

@@ -148,6 +148,12 @@ void Localizer::start_at(const Pose2& pose, double sigma_xy,
 
 void Localizer::on_odometry(const Pose2& odometry_pose) {
   SerialGuard::Scope serial(serial_guard_);
+  // A non-finite sample would turn the next motion delta, and with it
+  // every particle, into NaN: drop it and keep the previous anchor.
+  if (!std::isfinite(odometry_pose.x()) || !std::isfinite(odometry_pose.y()) ||
+      !std::isfinite(odometry_pose.yaw)) {
+    return;
+  }
   current_odom_ = odometry_pose;
   if (!last_motion_odom_) last_motion_odom_ = odometry_pose;
   if (!gate_odom_) gate_odom_ = odometry_pose;

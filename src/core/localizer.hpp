@@ -75,7 +75,8 @@ class Localizer {
   void start_at(const Pose2& pose, double sigma_xy, double sigma_yaw);
 
   /// Feed the latest odometry-frame pose estimate (absolute in the
-  /// odometry frame; only relative motion is used).
+  /// odometry frame; only relative motion is used). A pose with a
+  /// non-finite component is ignored; the previous one stays the anchor.
   void on_odometry(const Pose2& odometry_pose);
 
   /// Feed all ToF frames captured at one measurement instant. The motion

@@ -26,14 +26,14 @@
 /// arithmetic (and per-chunk RNG stream) of the phase-by-phase path, so
 /// results are bit-identical to it.
 ///
-/// The observation sweep additionally dispatches to hand-written SIMD
-/// backends (src/core/kernels/: AVX2, NEON) for the LUT observation
-/// model. The scalar loops below remain the determinism reference — the
-/// SIMD kernels handle whole vector blocks and the scalar kernel always
-/// covers the tail, so there is exactly one definition of the reference
-/// arithmetic. Backend selection: kernels::default_backend() (compile
-/// detection + runtime probe + TOFMCL_KERNEL env override), overridable
-/// per filter with set_kernel_backend().
+/// The observation sweep additionally dispatches to a hand-written SIMD
+/// backend (src/core/kernels/: AVX2) for the LUT observation model. The
+/// scalar loops below remain the determinism reference — the SIMD kernel
+/// handles whole vector blocks and the scalar kernel always covers the
+/// tail, so there is exactly one definition of the reference arithmetic.
+/// Backend selection: kernels::default_backend() (compile detection +
+/// runtime probe + TOFMCL_KERNEL env override), overridable per filter
+/// with set_kernel_backend().
 ///
 /// Given a fixed chunk count, results are bit-identical on every executor;
 /// threads only change wall-clock. Per-chunk RNG streams make the whole
@@ -142,11 +142,6 @@ class ParticleFilter {
     TOFMCL_EXPECTS(config.z_short >= 0.0, "z_short must be non-negative");
     TOFMCL_EXPECTS(config.lambda_short > 0.0,
                    "lambda_short must be positive");
-    // Folding the per-beam normalizer into the observation kernel keeps
-    // weights of well-matched particles near 1 regardless of beam count
-    // (see observation_update). Exactly 1.0 when z_hit + z_rand == 1.
-    per_beam_scale_ =
-        static_cast<float>(1.0 / (config_.z_hit + config_.z_rand));
     mixture_params_ = beam_model_params(config_);
     if (arena_) {
       st_.particles = arena_->template acquire<Scalar>(config_.num_particles,
@@ -179,7 +174,6 @@ class ParticleFilter {
       config_ = other.config_;
       executor_ = other.executor_;
       observation_model_ = std::move(other.observation_model_);
-      per_beam_scale_ = other.per_beam_scale_;
       mixture_params_ = other.mixture_params_;
       st_ = std::move(other.st_);
       last_resample_drew_ = other.last_resample_drew_;
@@ -308,23 +302,24 @@ class ParticleFilter {
   /// recovery monitor. When z_hit + z_rand == 1 (the defaults) the scale
   /// is exactly 1.0f and the arithmetic is unchanged bit for bit.
   ///
-  /// With the short-return component or novelty gating enabled, per-beam
-  /// state (short floor, normalizer, gate verdict) is computed ONCE here —
-  /// a pure function of the beams, the previous pose estimate and the map
-  /// — then applied uniformly across particles; gated beams are skipped
-  /// entirely. With z_short == 0 and gating off this path is the exact
-  /// pre-mixture kernel, bit for bit.
+  /// The per-beam state (short floor, normalizer, gate verdict) is computed
+  /// ONCE here — a pure function of the beams, the previous pose estimate
+  /// and the map — into the sweep-beam array every particle then iterates;
+  /// gated beams are left out of it. With z_short == 0 each floor is
+  /// +0.0f and each scale is 1/(z_hit + z_rand), and a factor is never
+  /// −0.0f, so (f + floor) · scale == f · scale bit for bit: the paper's
+  /// two-term model is this kernel, not a second one.
   void observation_update(std::span<const sensor::Beam> beams) {
     st_.workload.particles = st_.particles.size();
     st_.workload.beams = beams.size();
     st_.workload.gated_beams = 0;
     st_.workload.novelty_armed = false;
     if (beams.empty()) return;
-    const bool mixture = prepare_beams(beams);
+    prepare_beams(beams);
     executor_->for_chunks(
         st_.particles.size(), config_.chunks,
         [&](std::size_t, std::size_t begin, std::size_t end) {
-          observation_sweep(begin, end, beams, mixture);
+          observation_sweep(begin, end);
         });
   }
 
@@ -338,7 +333,7 @@ class ParticleFilter {
   /// Within a chunk the motion steps run before the observation sweep
   /// (also a pure traversal re-ordering: the observation reads only what
   /// motion wrote and consumes no randomness), which is what lets the
-  /// observation half dispatch to the SIMD backends.
+  /// observation half dispatch to the SIMD backend.
   void motion_observation_update(const Pose2& delta,
                                  std::span<const sensor::Beam> beams) {
     const MotionParams mp = motion_params(delta);
@@ -346,7 +341,7 @@ class ParticleFilter {
     st_.workload.beams = beams.size();
     st_.workload.gated_beams = 0;
     st_.workload.novelty_armed = false;
-    const bool mixture = beams.empty() ? false : prepare_beams(beams);
+    if (!beams.empty()) prepare_beams(beams);
     executor_->for_chunks(
         st_.particles.size(), config_.chunks,
         [&](std::size_t chunk, std::size_t begin, std::size_t end) {
@@ -354,7 +349,9 @@ class ParticleFilter {
           for (std::size_t i = begin; i < end; ++i) {
             motion_step(i, mp, rng);
           }
-          if (!beams.empty()) observation_sweep(begin, end, beams, mixture);
+          // Keyed on the input, not the sweep array: an update whose every
+          // beam is gated still sweeps (and rounds fp16 weights).
+          if (!beams.empty()) observation_sweep(begin, end);
         });
   }
 
@@ -546,14 +543,18 @@ class ParticleFilter {
       total.wxx += a.wxx;
     }
     PoseEstimate est;
-    if (!(total.w > 0.0) || !std::isfinite(total.w)) {
+    const double mx = total.wx / total.w;
+    const double my = total.wy / total.w;
+    const double myaw = std::atan2(total.ws, total.wc);
+    // Finite weights do not imply finite particles: one non-finite pose
+    // poisons the mean, and that must not be reported as a valid estimate.
+    if (!(total.w > 0.0) || !std::isfinite(total.w) || !std::isfinite(mx) ||
+        !std::isfinite(my) || !std::isfinite(myaw)) {
       est.valid = false;
       st_.estimate = est;
       return est;
     }
-    const double mx = total.wx / total.w;
-    const double my = total.wy / total.w;
-    est.pose = Pose2{mx, my, std::atan2(total.ws, total.wc)};
+    est.pose = Pose2{mx, my, myaw};
     const double second = total.wxx / total.w - (mx * mx + my * my);
     est.position_stddev = std::sqrt(std::max(0.0, second));
     est.yaw_concentration =
@@ -698,16 +699,14 @@ class ParticleFilter {
     st_.particles.yaw[i] = Scalar(wrap_pi_f(yaw + dyaw));
   }
 
-  /// Computes the per-beam mixture state and novelty-gate verdicts.
-  /// Returns true when the extended kernel must run; false selects the
-  /// exact legacy kernel (z_short == 0 and gating disabled — the per-beam
-  /// state is then the constant per_beam_scale_, so skipping it keeps the
-  /// default configuration bit-identical to the pre-mixture model).
+  /// Fills the sweep-beam array: every beam the novelty gate keeps, in
+  /// input order, with its short-return floor and its normalizer
+  /// 1/(z_hit + z_rand + floor) (see observation_update).
   ///
   /// Pure function of (beams, config, previous estimate, map): both the
   /// phased and the fused sweep call it before touching any particle, so
   /// they classify identically and stay bit-identical to each other.
-  bool prepare_beams(std::span<const sensor::Beam> beams) {
+  void prepare_beams(std::span<const sensor::Beam> beams) {
     // Concentration, not position_stddev: the recovery tail of injected
     // uniform particles inflates the position variance by construction
     // (see MclConfig::novelty_min_concentration).
@@ -715,28 +714,20 @@ class ParticleFilter {
         config_.enable_novelty_gating && st_.estimate.valid &&
         st_.estimate.yaw_concentration >= config_.novelty_min_concentration;
     st_.workload.novelty_armed = want_gate;
-    if (!want_gate) st_.blind_streak = 0;
-    if (config_.z_short <= 0.0 && !want_gate) return false;
 
     // Blind-streak fail-safe (MclConfig::novelty_max_blind_updates): too
     // many consecutive fully-gated corrections means the gate is starving
     // the filter of evidence — stand down for this update so a kidnapping
     // toward nearer surfaces cannot hide behind its own gating.
-    const bool stand_down =
-        want_gate && st_.blind_streak >= config_.novelty_max_blind_updates;
+    const bool gate =
+        want_gate && st_.blind_streak < config_.novelty_max_blind_updates;
 
-    st_.beam_aux.resize(beams.size());
+    st_.sweep_beams.clear();
     const double est_yaw = st_.estimate.pose.yaw;
     const double gc = std::cos(est_yaw);
     const double gs = std::sin(est_yaw);
-    for (std::size_t b = 0; b < beams.size(); ++b) {
-      const sensor::Beam& beam = beams[b];
-      BeamAux aux;
-      aux.floor = short_return_floor(beam.range_m, mixture_params_);
-      aux.scale = static_cast<float>(
-          1.0 / (config_.z_hit + config_.z_rand +
-                 static_cast<double>(aux.floor)));
-      if (want_gate && !stand_down) {
+    for (const sensor::Beam& beam : beams) {
+      if (gate) {
         // Ray from the sensor position under the ESTIMATED pose along the
         // beam direction. The body-frame origin is recovered from the
         // precomputed end point (it already includes the mount offset).
@@ -755,11 +746,15 @@ class ParticleFilter {
                                 range + config_.novelty_margin_m)) {
           // The map expects free space well past the measured range: the
           // return bounced off something the map does not know.
-          aux.gated = true;
           ++st_.workload.gated_beams;
+          continue;
         }
       }
-      st_.beam_aux[b] = aux;
+      const float floor = short_return_floor(beam.range_m, mixture_params_);
+      st_.sweep_beams.push_back(SweepBeam{
+          beam.endpoint_body, floor,
+          static_cast<float>(1.0 / (config_.z_hit + config_.z_rand +
+                                    static_cast<double>(floor)))});
     }
     if (want_gate && !beams.empty() &&
         st_.workload.gated_beams == beams.size()) {
@@ -767,7 +762,6 @@ class ParticleFilter {
     } else {
       st_.blind_streak = 0;
     }
-    return true;
   }
 
   /// Sphere-traces the truncated EDT from `origin` along unit `dir`:
@@ -787,59 +781,27 @@ class ParticleFilter {
     return false;
   }
 
-  /// The per-particle preamble both observation kernels share: pose
-  /// loads, the yaw trig pair, and the running weight. One definition —
-  /// extracted so the plain and mixture kernels (and through them the
-  /// SIMD ports, which replicate this arithmetic lane-wise) cannot drift
-  /// apart.
-  struct SweepPreamble {
-    float x, y, c, s, w;
-  };
-
-  inline SweepPreamble sweep_preamble(std::size_t i) const {
+  /// Observation kernel body for one particle: transform each sweep beam's
+  /// end point by the particle pose and fold its normalized mixture factor
+  /// into the weight. Consumes no randomness. This is the determinism
+  /// reference that the SIMD port replicates lane-wise.
+  inline void observation_step(std::size_t i) {
+    const float x = static_cast<float>(st_.particles.x[i]);
+    const float y = static_cast<float>(st_.particles.y[i]);
     const float yaw = static_cast<float>(st_.particles.yaw[i]);
-    return SweepPreamble{static_cast<float>(st_.particles.x[i]),
-                         static_cast<float>(st_.particles.y[i]),
-                         std::cos(yaw), std::sin(yaw),
-                         static_cast<float>(st_.particles.weight[i])};
-  }
-
-  /// Body-frame beam end point under the preamble's pose — exactly
-  /// ((x + c·bx) − s·by, (y + s·bx) + c·by). The association is the
-  /// determinism contract: the SIMD ports replicate it mul/add/sub for
-  /// mul/add/sub (no FMA), so keep it verbatim.
-  static inline std::pair<float, float> transform_endpoint(
-      const SweepPreamble& p, const Vec2f& b) {
-    return {p.x + p.c * b.x - p.s * b.y, p.y + p.s * b.x + p.c * b.y};
-  }
-
-  /// Observation kernel body for one particle: transform each beam end
-  /// point by the particle pose and fold the normalized factor into the
-  /// weight. Consumes no randomness.
-  inline void observation_step(std::size_t i,
-                               std::span<const sensor::Beam> beams) {
-    SweepPreamble p = sweep_preamble(i);
-    for (const sensor::Beam& beam : beams) {
-      const auto [ex, ey] = transform_endpoint(p, beam.endpoint_body);
-      p.w *= observation_model_.factor(ex, ey) * per_beam_scale_;
+    const float c = std::cos(yaw);
+    const float s = std::sin(yaw);
+    float w = static_cast<float>(st_.particles.weight[i]);
+    for (const SweepBeam& beam : st_.sweep_beams) {
+      const Vec2f& b = beam.endpoint_body;
+      // End point ((x + c·bx) − s·by, (y + s·bx) + c·by). The association
+      // is the determinism contract: the SIMD port replicates it
+      // mul/add/sub for mul/add/sub (no FMA), so keep it verbatim.
+      const float ex = x + c * b.x - s * b.y;
+      const float ey = y + s * b.x + c * b.y;
+      w *= (observation_model_.factor(ex, ey) + beam.floor) * beam.scale;
     }
-    st_.particles.weight[i] = Scalar(p.w);
-  }
-
-  /// Mixture/gating variant: the map-distance factor gains the beam's
-  /// short-return floor, the normalizer is per beam, and gated beams are
-  /// skipped. Identical memory traffic otherwise — still one pass, still
-  /// no randomness.
-  inline void observation_step_mixture(std::size_t i,
-                                       std::span<const sensor::Beam> beams) {
-    SweepPreamble p = sweep_preamble(i);
-    for (std::size_t b = 0; b < beams.size(); ++b) {
-      const BeamAux& aux = st_.beam_aux[b];
-      if (aux.gated) continue;
-      const auto [ex, ey] = transform_endpoint(p, beams[b].endpoint_body);
-      p.w *= (observation_model_.factor(ex, ey) + aux.floor) * aux.scale;
-    }
-    st_.particles.weight[i] = Scalar(p.w);
+    st_.particles.weight[i] = Scalar(w);
   }
 
   /// Observation sweep over [begin, end) of one chunk: a non-scalar
@@ -847,25 +809,18 @@ class ParticleFilter {
   /// expf model has no SIMD kernel), and the scalar reference kernel
   /// covers the remainder. In scalar mode this IS the reference loop,
   /// untouched.
-  inline void observation_sweep(std::size_t begin, std::size_t end,
-                                std::span<const sensor::Beam> beams,
-                                bool mixture) {
+  inline void observation_sweep(std::size_t begin, std::size_t end) {
     if constexpr (std::is_same_v<ObservationModel, LutObservationModel>) {
       if (backend_ != kernels::KernelBackend::kScalar) {
-        const kernels::BeamSweepView beam_view{
-            beams.data(), mixture ? st_.beam_aux.data() : nullptr,
-            beams.size(), per_beam_scale_};
+        const kernels::BeamSweepView beam_view{st_.sweep_beams.data(),
+                                               st_.sweep_beams.size()};
         begin += kernels::observation_sweep(backend_, lut_map_view(),
                                             beam_view, sweep_spans(), begin,
                                             end, fp16_weights());
       }
     }
     for (std::size_t i = begin; i < end; ++i) {
-      if (mixture) {
-        observation_step_mixture(i, beams);
-      } else {
-        observation_step(i, beams);
-      }
+      observation_step(i);
       round_weight_fp16(i);
     }
   }
@@ -1128,7 +1083,6 @@ class ParticleFilter {
   MclConfig config_;
   Executor* executor_;
   ObservationModel observation_model_;
-  float per_beam_scale_ = 1.0f;
   BeamModelParams mixture_params_{};
   /// Everything the update cycle mutates (see filter_state.hpp).
   FilterState<Scalar> st_;

@@ -18,6 +18,19 @@ core::SessionKnobs knobs_of(const SessionOptions& opts) {
   return knobs;
 }
 
+/// Reads a record count and rejects one the rest of the blob cannot hold
+/// before anything is allocated for it, so an inflated count is an
+/// IoError like any other corrupt blob.
+std::uint64_t read_count(map::SnapshotReader& reader, std::size_t record_bytes,
+                         const char* what) {
+  const std::uint64_t count = reader.u64();
+  if (count > reader.remaining() / record_bytes) {
+    throw IoError(std::string("session snapshot: ") + what +
+                  " count exceeds the blob");
+  }
+  return count;
+}
+
 }  // namespace
 
 Session::Session(Unstarted, std::size_t id, std::string map_key,
@@ -59,11 +72,11 @@ Session::Session(std::size_t id, std::string map_key,
   corrections_ = reader.u64();
   processed_inputs_ = reader.u64();
   dropped_inputs_ = reader.u64();
-  const std::uint64_t latency_count = reader.u64();
+  const std::uint64_t latency_count = read_count(reader, 8, "latency sample");
   for (std::uint64_t i = 0; i < latency_count; ++i) {
     latency_.record(reader.f64());
   }
-  const std::uint64_t trace_count = reader.u64();
+  const std::uint64_t trace_count = read_count(reader, 32, "trace record");
   trace_.reserve(trace_count);
   for (std::uint64_t i = 0; i < trace_count; ++i) {
     CorrectionRecord rec;

@@ -109,9 +109,8 @@ void expect_state_matches(const ParticleFilter<Traits>& scalar_pf,
 /// SIMD backends available on this host (empty → suite self-skips).
 std::vector<kernels::KernelBackend> simd_backends() {
   std::vector<kernels::KernelBackend> out;
-  for (const auto b :
-       {kernels::KernelBackend::kAvx2, kernels::KernelBackend::kNeon}) {
-    if (kernels::backend_supported(b)) out.push_back(b);
+  if (kernels::backend_supported(kernels::KernelBackend::kAvx2)) {
+    out.push_back(kernels::KernelBackend::kAvx2);
   }
   return out;
 }
@@ -121,17 +120,13 @@ TEST(Kernels, BackendIntrospectionIsConsistent) {
   EXPECT_TRUE(kernels::backend_compiled(kernels::KernelBackend::kScalar));
   EXPECT_TRUE(kernels::backend_supported(kernels::KernelBackend::kScalar));
   // Supported implies compiled, and the default/best backend is usable.
-  for (const auto b :
-       {kernels::KernelBackend::kAvx2, kernels::KernelBackend::kNeon}) {
-    if (kernels::backend_supported(b)) {
-      EXPECT_TRUE(kernels::backend_compiled(b));
-    }
+  if (kernels::backend_supported(kernels::KernelBackend::kAvx2)) {
+    EXPECT_TRUE(kernels::backend_compiled(kernels::KernelBackend::kAvx2));
   }
   EXPECT_TRUE(kernels::backend_supported(kernels::best_supported_backend()));
   EXPECT_TRUE(kernels::backend_supported(kernels::default_backend()));
   EXPECT_STREQ(kernels::to_string(kernels::KernelBackend::kScalar), "scalar");
   EXPECT_STREQ(kernels::to_string(kernels::KernelBackend::kAvx2), "avx2");
-  EXPECT_STREQ(kernels::to_string(kernels::KernelBackend::kNeon), "neon");
 }
 
 // Randomized configurations: particle counts off the vector-width
@@ -234,7 +229,7 @@ TEST(Kernels, NearUnderflow128BeamsMatchScalar) {
 }
 
 // Short-return mixture + novelty gating over a multi-round trajectory:
-// the per-beam aux state (floor, normalizer, gate verdict) feeds the
+// the sweep beams (floor, normalizer, gated beams left out) feed the
 // SIMD path through BeamSweepView and must produce the same weights and
 // the same gate decisions round after round.
 TEST(Kernels, MixtureAndGatingMatchScalar) {

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+#include <utility>
+
 #include "common/angles.hpp"
 #include "common/stats.hpp"
 #include "sim/maze.hpp"
@@ -247,6 +251,92 @@ TEST(Localizer, TrackingInitStaysLocked) {
   EXPECT_GT(errors.count(), 20u);
   EXPECT_LT(errors.mean(), 0.5);
   EXPECT_LT(final_err, 0.8);
+}
+
+/// Converts to any member type; only ever named in unevaluated operands.
+struct AnyField {
+  template <typename T>
+  operator T() const;
+};
+
+/// Number of members of aggregate T: the longest AnyField list that T's
+/// aggregate initialization accepts.
+template <typename T, typename... Fields>
+constexpr std::size_t member_count() {
+  if constexpr (requires { T{Fields{}..., AnyField{}}; }) {
+    return member_count<T, Fields..., AnyField>();
+  } else {
+    return sizeof...(Fields);
+  }
+}
+
+// scoring_fingerprint keys the ScoringContext cache: a scoring field it
+// misses would silently merge distinct configs onto one context. Every
+// field but the SessionKnobs pair (seed, num_particles) must move it.
+TEST(ScoringFingerprint, CoversEveryScoringField) {
+  using Edit = void (*)(MclConfig&);
+  const std::pair<const char*, Edit> scoring_fields[] = {
+      {"sigma_odom_xy", [](MclConfig& m) { m.sigma_odom_xy += 0.25; }},
+      {"sigma_odom_yaw", [](MclConfig& m) { m.sigma_odom_yaw += 0.25; }},
+      {"scale_noise_with_motion",
+       [](MclConfig& m) {
+         m.scale_noise_with_motion = !m.scale_noise_with_motion;
+       }},
+      {"sigma_obs", [](MclConfig& m) { m.sigma_obs += 0.25; }},
+      {"z_hit", [](MclConfig& m) { m.z_hit += 0.25; }},
+      {"z_rand", [](MclConfig& m) { m.z_rand += 0.25; }},
+      {"z_short", [](MclConfig& m) { m.z_short += 0.25; }},
+      {"lambda_short", [](MclConfig& m) { m.lambda_short += 0.25; }},
+      {"enable_novelty_gating",
+       [](MclConfig& m) {
+         m.enable_novelty_gating = !m.enable_novelty_gating;
+       }},
+      {"novelty_margin_m", [](MclConfig& m) { m.novelty_margin_m += 0.25; }},
+      {"novelty_max_blind_updates",
+       [](MclConfig& m) { m.novelty_max_blind_updates += 1; }},
+      {"novelty_min_concentration",
+       [](MclConfig& m) { m.novelty_min_concentration += 0.25; }},
+      {"rmax", [](MclConfig& m) { m.rmax += 0.25; }},
+      {"gate_dxy", [](MclConfig& m) { m.gate_dxy += 0.25; }},
+      {"gate_dtheta", [](MclConfig& m) { m.gate_dtheta += 0.25; }},
+      {"resample_ess_fraction",
+       [](MclConfig& m) { m.resample_ess_fraction += 0.25; }},
+      {"enable_injection",
+       [](MclConfig& m) { m.enable_injection = !m.enable_injection; }},
+      {"injection_alpha_slow",
+       [](MclConfig& m) { m.injection_alpha_slow += 0.25; }},
+      {"injection_alpha_fast",
+       [](MclConfig& m) { m.injection_alpha_fast += 0.25; }},
+      {"injection_max_fraction",
+       [](MclConfig& m) { m.injection_max_fraction += 0.25; }},
+      {"adaptive_particles",
+       [](MclConfig& m) { m.adaptive_particles = !m.adaptive_particles; }},
+      {"min_particles", [](MclConfig& m) { m.min_particles += 1; }},
+      {"kld_epsilon", [](MclConfig& m) { m.kld_epsilon += 0.25; }},
+      {"kld_z", [](MclConfig& m) { m.kld_z += 0.25; }},
+      {"kld_bin_xy", [](MclConfig& m) { m.kld_bin_xy += 0.25; }},
+      {"kld_bin_yaw", [](MclConfig& m) { m.kld_bin_yaw += 0.25; }},
+      {"weight_precision",
+       [](MclConfig& m) { m.weight_precision = WeightPrecision::kFp16; }},
+      {"chunks", [](MclConfig& m) { m.chunks += 1; }},
+  };
+  const LocalizerConfig base;
+  const std::string key = scoring_fingerprint(base);
+  for (const auto& [name, edit] : scoring_fields) {
+    LocalizerConfig changed = base;
+    edit(changed.mcl);
+    EXPECT_NE(scoring_fingerprint(changed), key) << name;
+  }
+
+  LocalizerConfig knobs = base;
+  knobs.mcl.seed += 1;
+  knobs.mcl.num_particles += 1;
+  EXPECT_EQ(scoring_fingerprint(knobs), key);
+
+  // 28 scoring fields + the two knobs. A new MclConfig field fails here
+  // until it joins scoring_fingerprint and the table above.
+  EXPECT_EQ(std::size(scoring_fields), 28u);
+  EXPECT_EQ(member_count<MclConfig>(), 30u);
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "core/localizer.hpp"
 #include "eval/experiment.hpp"
 #include "sim/maze.hpp"
@@ -88,6 +91,53 @@ TEST(Robustness, OdometryJumpSurvives) {
   loc.on_frames({&f, 1});
   EXPECT_TRUE(std::isfinite(loc.estimate().pose.x()));
   EXPECT_TRUE(std::isfinite(loc.estimate().pose.yaw));
+}
+
+TEST(Robustness, NonFiniteOdometryIsIgnored) {
+  // One NaN odometry sample used to turn every particle into NaN while
+  // the weights stayed finite, so the next corrections reported valid
+  // poses with x = NaN. The sample must be dropped instead.
+  const auto grid = maze_grid();
+  core::SerialExecutor exec;
+  core::LocalizerConfig cfg;
+  cfg.mcl.num_particles = 512;
+  core::Localizer loc(grid, cfg, exec);
+  Pose2 odom{};
+  loc.on_odometry(odom);
+  loc.start_global();
+  const sensor::TofFrame f = frame_with_status(sensor::ZoneStatus::kValid);
+  const auto advance = [&] {
+    odom = odom.compose(Pose2{0.12, 0.0, 0.0});
+    loc.on_odometry(odom);
+    return loc.on_frames({&f, 1});
+  };
+  ASSERT_TRUE(advance());
+  // The glitch, consumed by a frame batch before the next good sample.
+  loc.on_odometry(Pose2{std::numeric_limits<double>::quiet_NaN(), 0.0, 0.0});
+  loc.on_frames({&f, 1});
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(advance());
+    const core::PoseEstimate& est = loc.estimate();
+    EXPECT_TRUE(est.valid) << "correction " << i;
+    EXPECT_TRUE(std::isfinite(est.pose.x()) && std::isfinite(est.pose.y()) &&
+                std::isfinite(est.pose.yaw))
+        << "correction " << i;
+  }
+}
+
+TEST(Robustness, NonFiniteParticleIsNeverAValidPose) {
+  // Finite weights do not make a finite mean: a NaN particle must turn
+  // the estimate invalid, not into a valid pose with x = NaN.
+  const auto grid = maze_grid();
+  const map::QuantizedDistanceMap qmap(grid, 1.5);
+  core::SerialExecutor exec;
+  core::MclConfig cfg;
+  cfg.num_particles = 64;
+  core::ParticleFilter<core::Fp32QmTraits> pf(qmap, cfg, exec);
+  pf.init_gaussian({1.5, 0.6, 0.0}, 0.1, 0.1);
+  ASSERT_TRUE(pf.compute_pose().valid);
+  pf.mutable_particles()[0].x = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_FALSE(pf.compute_pose().valid);
 }
 
 TEST(Robustness, HeavySensorDegradationStillLocalizes) {

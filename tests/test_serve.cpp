@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -21,6 +22,7 @@
 #include <thread>
 
 #include "common/serial_guard.hpp"
+#include "map/snapshot_io.hpp"
 #include "serve/snapshot_store.hpp"
 #include "sim/maze.hpp"
 
@@ -582,6 +584,21 @@ TEST(SessionSnapshot, VersionSkewAndTruncationAreRejected) {
   std::vector<std::byte> truncated(blob.begin(),
                                    blob.begin() + blob.size() / 2);
   EXPECT_THROW(mgr->restore_session(0, truncated), IoError);
+
+  // An inflated trace count must be an IoError too, not a length_error or
+  // bad_alloc from allocating for it. The count follows the header
+  // (magic, version, three counters) and the latency samples.
+  map::SnapshotReader header(blob);
+  header.u32();
+  header.u16();
+  for (int i = 0; i < 3; ++i) header.u64();
+  const std::uint64_t latency_count = header.u64();
+  for (std::uint64_t i = 0; i < latency_count; ++i) header.f64();
+  const std::size_t trace_count_at = blob.size() - header.remaining();
+  std::vector<std::byte> inflated = blob;
+  std::fill_n(inflated.begin() + trace_count_at, 8, std::byte{0});
+  inflated[trace_count_at + 7] = std::byte{0x10};  // little-endian 2^60
+  EXPECT_THROW(mgr->restore_session(0, inflated), IoError);
 
   // The session survived every rejected restore and still serves.
   EXPECT_TRUE(mgr->session_live(0));

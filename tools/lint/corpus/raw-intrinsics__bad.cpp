@@ -10,8 +10,3 @@ float sum8(const float* p) {
   _mm_storeu_ps(out, lo);                           // flagged
   return out[0] + out[1] + out[2] + out[3];
 }
-
-float sum4_neon(const float* p) {
-  float32x4_t v = vld1q_f32(p);                     // flagged (NEON)
-  return vgetq_lane_f32(v, 0);                      // flagged
-}

@@ -67,11 +67,10 @@
 ///
 ///  layering
 ///   * raw-intrinsics    — SIMD headers (<immintrin.h>, <arm_neon.h>, …)
-///                         and raw intrinsic usage (_mm*/__m256 types,
-///                         vld1q_f32-style NEON calls and float32x4_t
-///                         vector types) anywhere but src/core/kernels/:
-///                         vector code is confined to the kernel layer
-///                         behind the runtime-dispatched
+///                         and raw x86 intrinsic usage (_mm* calls,
+///                         __m256-style types) anywhere but
+///                         src/core/kernels/: vector code is confined to
+///                         the kernel layer behind the runtime-dispatched
 ///                         kernels::observation_sweep, so the scalar
 ///                         reference stays the single definition of the
 ///                         filter arithmetic (PR 9).
