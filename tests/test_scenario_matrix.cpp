@@ -21,7 +21,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <optional>
@@ -32,10 +31,10 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
-#include "core/kernels/kernel_backend.hpp"
 #include "core/localizer.hpp"
 #include "eval/experiment.hpp"
 #include "eval/metrics.hpp"
+#include "golden_digest.hpp"
 #include "sim/dynamic_obstacles.hpp"
 #include "sim/maze.hpp"
 #include "sim/sequence_generator.hpp"
@@ -797,25 +796,10 @@ TEST(ScenarioMatrixDeterminism, RepeatedRunsAreBitIdentical) {
 
 // ---- Golden digests (ctest entry test_scenario_matrix_golden) ------------
 //
-// Run-vs-run gates cannot see a change that moves every run the same way.
-// These pin the scalar reference to committed 64-bit FNV-1a digests of
-// the scenario_trace() dump: the fp32 direct model, the fp32qm LUT model
-// (both two-term) and the short-return mixture with novelty gating. A
-// change that alters a trace on purpose updates the constant in the same
-// diff; the failure message prints the recomputed digest.
-//
-// The digests depend on libm's float trig/exp, so they hold for the
-// toolchain they came from: Debian glibc 2.36, GCC 12, x86-64.
-// tests/CMakeLists.txt runs this suite with TOFMCL_KERNEL=scalar.
-
-std::uint64_t fnv1a64(const std::string& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
+// These pin the scalar reference to committed digests of the
+// scenario_trace() dump (see golden_digest.hpp): the fp32 direct model,
+// the fp32qm and fp16qm LUT models (all two-term) and the short-return
+// mixture with novelty gating.
 
 Scenario matrix_scenario(const std::string& name) {
   for (const Scenario& s : scenario_matrix()) {
@@ -825,22 +809,21 @@ Scenario matrix_scenario(const std::string& name) {
 }
 
 void expect_golden_digest(const Scenario& s, std::uint64_t golden) {
-  if (core::kernels::default_backend() != core::kernels::KernelBackend::kScalar) {
-    GTEST_SKIP() << "golden digests pin the scalar reference; run with "
-                    "TOFMCL_KERNEL=scalar";
-  }
-  core::SerialExecutor exec;
-  const std::uint64_t digest =
-      fnv1a64(scenario_trace(s.name, run_scenario(s, exec)));
-  char recomputed[32];
-  std::snprintf(recomputed, sizeof(recomputed), "0x%016llx",
-                static_cast<unsigned long long>(digest));
-  EXPECT_EQ(digest, golden) << s.name << ": recomputed digest " << recomputed;
+  golden::expect_digest(s.name, golden, [&] {
+    core::SerialExecutor exec;
+    return scenario_trace(s.name, run_scenario(s, exec));
+  });
 }
 
 TEST(ScenarioGolden, SmallMazeGlobal) {
   expect_golden_digest(matrix_scenario("small_maze_global"),
                        0xb3a8d518037a9721ull);
+}
+
+TEST(ScenarioGolden, SmallMazeFp16Qm) {
+  Scenario s = matrix_scenario("small_maze_global");
+  s.precision = core::Precision::kFp16Qm;
+  expect_golden_digest(s, 0x6271433bba00b2ccull);
 }
 
 TEST(ScenarioGolden, TrackingDegradedQuantized) {

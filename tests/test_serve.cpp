@@ -4,7 +4,8 @@
 // asserted single-threaded contract and correction-timing hooks, and the
 // serial-vs-pooled determinism gate (bit-identical per-session correction
 // traces whatever the pump schedule — set TOFMCL_SERVE_TRACE to dump a
-// hexfloat trace for cross-process CI diffs).
+// hexfloat trace for cross-process CI diffs), plus a committed golden
+// digest of the serial trace (ServeGolden, ctest entry test_serve_golden).
 //
 // The CI ThreadSanitizer job runs this binary: the pooled pumps below are
 // the cross-thread session-hopping pattern the SerialGuard's
@@ -19,9 +20,12 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <string>
 #include <thread>
 
 #include "common/serial_guard.hpp"
+#include "golden_digest.hpp"
 #include "map/snapshot_io.hpp"
 #include "serve/snapshot_store.hpp"
 #include "sim/maze.hpp"
@@ -274,6 +278,25 @@ std::unique_ptr<SessionManager> run_maze_service(std::size_t threads,
   return mgr;
 }
 
+/// Names the file SerialAndPooledPumpsYieldBitIdenticalTraces writes its
+/// serve_trace() dump to; CI diffs the files of two processes.
+constexpr const char* kServeTraceEnv = "TOFMCL_SERVE_TRACE";
+
+/// Hexfloat dump of the first `sessions` sessions' correction traces, one
+/// line per correction. Both the cross-process trace file and the golden
+/// digest below are taken over exactly these bytes.
+std::string serve_trace(const SessionManager& mgr, std::size_t sessions) {
+  std::ostringstream out;
+  out << std::hexfloat;
+  for (std::size_t i = 0; i < sessions; ++i) {
+    for (const CorrectionRecord& r : mgr.session(i).trace()) {
+      out << i << ' ' << r.t << ' ' << r.pose.position.x << ' '
+          << r.pose.position.y << ' ' << r.pose.yaw << '\n';
+    }
+  }
+  return out.str();
+}
+
 TEST(SessionManager, SerialAndPooledPumpsYieldBitIdenticalTraces) {
   constexpr std::size_t kSessions = 6;
   constexpr std::size_t kTicks = 16;
@@ -304,19 +327,21 @@ TEST(SessionManager, SerialAndPooledPumpsYieldBitIdenticalTraces) {
   EXPECT_NE(serial->session(0).trace().front().pose.position.x,
             serial->session(1).trace().front().pose.position.x);
 
-  // Cross-process determinism hook: dump the pooled traces in hexfloat
-  // for CI to diff between two independent test processes.
-  if (const char* path = std::getenv("TOFMCL_SERVE_TRACE")) {
+  // Cross-process determinism hook: dump the pooled traces for CI to diff
+  // between two independent test processes.
+  if (const char* path = std::getenv(kServeTraceEnv)) {
     std::ofstream trace(path);
     ASSERT_TRUE(trace) << "cannot open " << path;
-    trace << std::hexfloat;
-    for (std::size_t i = 0; i < kSessions; ++i) {
-      for (const CorrectionRecord& r : pooled->session(i).trace()) {
-        trace << i << ' ' << r.t << ' ' << r.pose.position.x << ' '
-              << r.pose.position.y << ' ' << r.pose.yaw << '\n';
-      }
-    }
+    trace << serve_trace(*pooled, kSessions);
   }
+}
+
+// Golden digest (ctest entry test_serve_golden): pins the serial maze
+// service's traces to a committed digest (see golden_digest.hpp).
+TEST(ServeGolden, MazeSessions) {
+  golden::expect_digest("maze sessions", 0x2943e289cf1bb9a0ull, [] {
+    return serve_trace(*run_maze_service(0, 6, 16, 4), 6);
+  });
 }
 
 TEST(SessionManager, ReportAggregatesPerMapAndGlobally) {
