@@ -23,36 +23,6 @@ const char* to_string(Precision p) {
 
 namespace {
 
-/// LUT-reuse test: the table covers the map-distance part of the mixture
-/// only (hit + rand), so z_short / lambda_short are deliberately NOT
-/// compared — one shared table serves every short-return setting riding on
-/// the same (sigma_obs, z_hit, z_rand), e.g. a campaign's observation-
-/// model robustness axis.
-bool params_equal(const BeamModelParams& a, const BeamModelParams& b) {
-  return a.sigma_obs == b.sigma_obs && a.z_hit == b.z_hit &&
-         a.z_rand == b.z_rand;
-}
-
-/// Builds a quantized-map filter, reusing the shared LUT when it was
-/// built for this run's beam-model parameters and falling back to a
-/// per-filter table otherwise.
-template <typename Traits, typename Variant>
-Variant make_qm_filter(const MapResources& maps, const LocalizerConfig& config,
-                       Executor& executor,
-                       std::shared_ptr<ParticleArena> arena) {
-  TOFMCL_EXPECTS(maps.quantized_map.has_value(),
-                 "shared map resources lack the quantized EDT");
-  if (maps.lut.has_value() &&
-      params_equal(maps.lut_params, beam_model_params(config.mcl))) {
-    return Variant(std::in_place_type<ParticleFilter<Traits>>,
-                   *maps.quantized_map, config.mcl, executor,
-                   LutObservationModel(*maps.quantized_map, *maps.lut),
-                   std::move(arena));
-  }
-  return Variant(std::in_place_type<ParticleFilter<Traits>>,
-                 *maps.quantized_map, config.mcl, executor, std::move(arena));
-}
-
 /// Context config + session knobs → the per-session LocalizerConfig.
 LocalizerConfig session_config(const ScoringContext& ctx,
                                const SessionKnobs& knobs) {
@@ -64,66 +34,41 @@ LocalizerConfig session_config(const ScoringContext& ctx,
 
 }  // namespace
 
-Localizer::FilterVariant Localizer::make_filter(
-    const MapResources& maps, const LocalizerConfig& config,
-    Executor& executor, std::shared_ptr<ParticleArena> arena) {
-  switch (config.precision) {
+Localizer::FilterVariant Localizer::make_filter(const ScoringContext& ctx,
+                                                const MclConfig& mcl,
+                                                Executor& executor) {
+  // The ScoringContext constructor checked that the map (and LUT) for
+  // this precision exist and match the config.
+  const MapResources& maps = ctx.maps();
+  switch (ctx.config().precision) {
     case Precision::kFp32:
-      TOFMCL_EXPECTS(maps.float_map.has_value(),
-                     "shared map resources lack the float EDT");
       return FilterVariant(std::in_place_type<ParticleFilter<Fp32Traits>>,
-                           *maps.float_map, config.mcl, executor,
-                           std::move(arena));
+                           *maps.float_map, mcl, executor, ctx.arena());
     case Precision::kFp32Qm:
-      return make_qm_filter<Fp32QmTraits, FilterVariant>(maps, config,
-                                                         executor,
-                                                         std::move(arena));
+      return FilterVariant(
+          std::in_place_type<ParticleFilter<Fp32QmTraits>>,
+          *maps.quantized_map, mcl, executor,
+          LutObservationModel(*maps.quantized_map, *maps.lut), ctx.arena());
     case Precision::kFp16Qm:
-      return make_qm_filter<Fp16QmTraits, FilterVariant>(maps, config,
-                                                         executor,
-                                                         std::move(arena));
+      return FilterVariant(
+          std::in_place_type<ParticleFilter<Fp16QmTraits>>,
+          *maps.quantized_map, mcl, executor,
+          LutObservationModel(*maps.quantized_map, *maps.lut), ctx.arena());
   }
   throw ConfigError("unknown precision variant");
-}
-
-Localizer::Localizer(const map::OccupancyGrid& grid,
-                     const LocalizerConfig& config, Executor& executor)
-    : Localizer(build_map_resources(grid, config.mcl,
-                                    std::span<const Precision>(
-                                        &config.precision, 1)),
-                config, executor) {}
-
-Localizer::Localizer(std::shared_ptr<const MapResources> maps,
-                     const LocalizerConfig& config, Executor& executor)
-    : config_(config),
-      maps_(std::move(maps)),
-      filter_(make_filter(*maps_, config_, executor)) {
-  TOFMCL_EXPECTS(!maps_->free_cells.empty(),
-                 "map has no free cells to localize in");
-  TOFMCL_EXPECTS(maps_->rmax == config_.mcl.rmax,
-                 "shared map resources built with a different rmax");
-  if (config_.sensors.empty()) config_.sensors = default_sensor_deck();
 }
 
 Localizer::Localizer(std::shared_ptr<const ScoringContext> ctx,
                      const SessionKnobs& knobs, Executor& executor)
     : config_(session_config(*ctx, knobs)),
-      maps_(ctx->map_resources()),
-      filter_(make_filter(*maps_, config_, executor, ctx->arena())),
-      ctx_(std::move(ctx)) {
-  TOFMCL_EXPECTS(!maps_->free_cells.empty(),
-                 "map has no free cells to localize in");
-  // build_scoring_context resolved the sensors; guard against a context
-  // assembled by hand with an empty deck.
-  if (config_.sensors.empty()) config_.sensors = default_sensor_deck();
-}
+      ctx_(std::move(ctx)),
+      filter_(make_filter(*ctx_, config_.mcl, executor)) {}
 
 void Localizer::start_global() {
   SerialGuard::Scope serial(serial_guard_);
+  const MapResources& maps = ctx_->maps();
   std::visit(
-      [&](auto& pf) {
-        pf.init_uniform(maps_->free_cells, maps_->cell_jitter);
-      },
+      [&](auto& pf) { pf.init_uniform(maps.free_cells, maps.cell_jitter); },
       filter_);
   last_motion_odom_ = current_odom_;
   gate_odom_ = current_odom_;
@@ -133,12 +78,13 @@ void Localizer::start_global() {
 void Localizer::start_at(const Pose2& pose, double sigma_xy,
                          double sigma_yaw) {
   SerialGuard::Scope serial(serial_guard_);
+  const MapResources& maps = ctx_->maps();
   std::visit(
       [&](auto& pf) {
         pf.init_gaussian(pose, sigma_xy, sigma_yaw);
         // Recovery injection works in tracking mode too: a kidnapped or
         // lost tracker can re-seed hypotheses across the free space.
-        pf.set_injection_support(maps_->free_cells, maps_->cell_jitter);
+        pf.set_injection_support(maps.free_cells, maps.cell_jitter);
       },
       filter_);
   last_motion_odom_ = current_odom_;
@@ -209,15 +155,6 @@ bool Localizer::on_frames(std::span<const sensor::TofFrame> frames) {
   return corrected;
 }
 
-bool Localizer::on_beams(std::span<const sensor::Beam> beams) {
-  SerialGuard::Scope serial(serial_guard_);
-  if (!current_odom_ || !last_motion_odom_) return false;
-  const auto t0 = std::chrono::steady_clock::now();
-  const bool corrected = step_filter(beams);
-  if (corrected) record_correction_time(t0);
-  return corrected;
-}
-
 void Localizer::record_correction_time(
     std::chrono::steady_clock::time_point t0) {
   last_correction_s_ =
@@ -283,15 +220,16 @@ const InjectionMonitor& Localizer::injection_monitor() const {
 }
 
 std::size_t Localizer::map_bytes() const {
+  const MapResources& maps = ctx_->maps();
   switch (config_.precision) {
     case Precision::kFp32:
-      return static_cast<std::size_t>(maps_->float_map->width()) *
-             static_cast<std::size_t>(maps_->float_map->height()) *
+      return static_cast<std::size_t>(maps.float_map->width()) *
+             static_cast<std::size_t>(maps.float_map->height()) *
              map::DistanceMap::bytes_per_cell();
     case Precision::kFp32Qm:
     case Precision::kFp16Qm:
-      return static_cast<std::size_t>(maps_->quantized_map->width()) *
-             static_cast<std::size_t>(maps_->quantized_map->height()) *
+      return static_cast<std::size_t>(maps.quantized_map->width()) *
+             static_cast<std::size_t>(maps.quantized_map->height()) *
              map::QuantizedDistanceMap::bytes_per_cell();
   }
   return 0;
@@ -388,12 +326,13 @@ void Localizer::load_snapshot(map::SnapshotReader& reader) {
   dropped_frames_ = static_cast<std::size_t>(reader.u64());
   last_correction_s_ = reader.f64();
   total_correction_s_ = reader.f64();
+  const MapResources& maps = ctx_->maps();
   std::visit(
       [&](auto& pf) {
         pf.load_state(reader);
         // The injection support is map data, not session state: re-arm it
         // from the shared resources exactly as both start paths do.
-        pf.set_injection_support(maps_->free_cells, maps_->cell_jitter);
+        pf.set_injection_support(maps.free_cells, maps.cell_jitter);
       },
       filter_);
 }

@@ -4,11 +4,11 @@
 /// \file localizer.hpp
 /// \brief Runtime facade over the templated particle filter.
 ///
-/// Owns (or shares) the distance-map representation matching the selected
-/// precision, converts multizone ToF frames to beams, applies the paper's
-/// asynchronous update gating (dxy / dθ, Section III-C2) and dispatches to
-/// the right ParticleFilter instantiation. This is the class an
-/// application integrates:
+/// Runs on a shared ScoringContext (distance map, LUT and resolved config
+/// for the selected precision), converts multizone ToF frames to beams,
+/// applies the paper's asynchronous update gating (dxy / dθ, Section
+/// III-C2) and dispatches to the right ParticleFilter instantiation. This
+/// is the class an application integrates:
 ///
 ///     core::Localizer loc(grid, config, executor);
 ///     loc.start_global();
@@ -16,17 +16,19 @@
 ///     loc.on_frames(frames_at_same_t);    // whenever ToF frames arrive
 ///     const auto est = loc.estimate();
 ///
-/// Evaluation campaigns that run MANY localizers over one map build the
-/// expensive read-only state once with build_map_resources() and hand the
-/// same MapResources to every run:
+/// Campaigns and the serving layer run MANY localizers over one map: they
+/// build the expensive read-only state once and share one context per
+/// scoring configuration, so runs differ only in their SessionKnobs:
 ///
 ///     auto maps = core::build_map_resources(grid, cfg.mcl, precisions);
-///     core::Localizer a(maps, cfg_run_a, exec), b(maps, cfg_run_b, exec);
+///     auto ctx = core::build_scoring_context(maps, cfg);
+///     core::Localizer a(ctx, {seed_a, particles_a}, exec);
+///     core::Localizer b(ctx, {seed_b, particles_b}, exec);
 ///
 /// Concurrency contract: a Localizer is single-threaded BY CONTRACT — the
 /// owner serializes every mutating call (on_odometry / on_frames /
-/// on_beams / start_*), though successive calls may land on different
-/// threads (the serving layer's sessions hop pool workers between pumps).
+/// start_*), though successive calls may land on different threads (the
+/// serving layer's sessions hop pool workers between pumps).
 /// The contract is ASSERTED: concurrent entry throws PreconditionError
 /// via SerialGuard instead of silently racing the dropped-frames counter
 /// or the injection-monitor state, and the guard's acquire/release pair
@@ -51,21 +53,17 @@ namespace tofmcl::core {
 
 class Localizer {
  public:
-  /// Builds the distance representation for `config.precision` from the
-  /// occupancy grid. The grid itself is not retained.
+  /// Builds a private context for `config` from the occupancy grid (see
+  /// build_scoring_context). The grid itself is not retained.
   Localizer(const map::OccupancyGrid& grid, const LocalizerConfig& config,
-            Executor& executor);
+            Executor& executor)
+      : Localizer(build_scoring_context(grid, config),
+                  {config.mcl.seed, config.mcl.num_particles}, executor) {}
 
-  /// Shares prebuilt map resources (see build_map_resources). The
-  /// resources must contain the representation `config.precision` needs
-  /// and must have been built with the same rmax.
-  Localizer(std::shared_ptr<const MapResources> maps,
-            const LocalizerConfig& config, Executor& executor);
-
-  /// Serving-layer constructor: the shared per-map ScoringContext supplies
-  /// maps, resolved configuration and the particle arena; the knobs supply
-  /// the only per-session degrees of freedom (seed, particle budget). The
-  /// filter's SoA blocks are leased from the context's arena.
+  /// The shared ScoringContext supplies maps, LUT, resolved configuration
+  /// and the particle arena the filter's SoA blocks are leased from; the
+  /// knobs supply the only per-session degrees of freedom (seed, particle
+  /// budget).
   Localizer(std::shared_ptr<const ScoringContext> ctx,
             const SessionKnobs& knobs, Executor& executor);
 
@@ -93,9 +91,6 @@ class Localizer {
   /// the drone.
   bool on_frames(std::span<const sensor::TofFrame> frames);
 
-  /// Convenience for pre-extracted beams (used by benches/tests).
-  bool on_beams(std::span<const sensor::Beam> beams);
-
   const PoseEstimate& estimate() const;
   Precision precision() const { return config_.precision; }
   const MclConfig& mcl_config() const { return config_.mcl; }
@@ -104,11 +99,11 @@ class Localizer {
   std::size_t updates_run() const { return updates_run_; }
   /// Frames rejected by on_frames() since construction.
   std::size_t dropped_frames() const { return dropped_frames_; }
-  /// Wall-clock seconds of the most recent correction (the full
-  /// on_frames/on_beams pass that ran it: beam extraction + fused
-  /// motion+observation + resample + pose). 0 before the first
-  /// correction. The serving layer samples this after every correction
-  /// to build its per-session latency distribution.
+  /// Wall-clock seconds of the most recent correction (the full on_frames
+  /// pass that ran it: beam extraction + fused motion+observation +
+  /// resample + pose). 0 before the first correction. The serving layer
+  /// samples this after every correction to build its per-session latency
+  /// distribution.
   double last_correction_seconds() const { return last_correction_s_; }
   /// Σ last_correction_seconds over all corrections (service-time
   /// accounting: corrections/s = updates_run / total_correction_seconds
@@ -134,8 +129,7 @@ class Localizer {
   /// memory metric.
   std::size_t resident_particle_bytes() const;
 
-  /// The shared context this localizer was built on; null for the
-  /// non-context constructors (which own their resources privately).
+  /// The context this localizer runs on; never null.
   const std::shared_ptr<const ScoringContext>& context() const {
     return ctx_;
   }
@@ -157,17 +151,15 @@ class Localizer {
       std::variant<ParticleFilter<Fp32Traits>, ParticleFilter<Fp32QmTraits>,
                    ParticleFilter<Fp16QmTraits>>;
 
-  /// Returns the filter instantiation matching config.precision, built on
-  /// the shared map resources (and their prebuilt LUT when applicable).
-  /// With an arena, the filter leases its particle blocks from it.
-  static FilterVariant make_filter(const MapResources& maps,
-                                   const LocalizerConfig& config,
-                                   Executor& executor,
-                                   std::shared_ptr<ParticleArena> arena = nullptr);
+  /// Returns the filter instantiation matching the context's precision,
+  /// scoring with the context's map (and LUT) and leasing its particle
+  /// blocks from the context's arena.
+  static FilterVariant make_filter(const ScoringContext& ctx,
+                                   const MclConfig& mcl, Executor& executor);
 
   bool gate_passed(const Pose2& delta) const;
   /// Correction-timing hook: stamps last/total correction wall time from
-  /// the t0 taken at the top of the on_frames/on_beams call that ran it.
+  /// the t0 taken at the top of the on_frames call that ran it.
   void record_correction_time(std::chrono::steady_clock::time_point t0);
   /// Motion phase only, without touching the correction gate (used when a
   /// frame batch carried no usable frames).
@@ -178,11 +170,11 @@ class Localizer {
   /// the correction ran.
   bool step_filter(std::span<const sensor::Beam> beams);
 
+  /// The context's config with this localizer's knobs applied.
   LocalizerConfig config_;
-  std::shared_ptr<const MapResources> maps_;
-  FilterVariant filter_;
-  /// Pins the shared context (arena, config) for context-built localizers.
+  /// Declared before filter_: the filter points into the context's maps.
   std::shared_ptr<const ScoringContext> ctx_;
+  FilterVariant filter_;
 
   std::optional<Pose2> current_odom_;
   std::optional<Pose2> last_motion_odom_;  ///< Odometry at last motion update.

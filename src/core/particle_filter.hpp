@@ -111,7 +111,6 @@ class ParticleFilter {
  public:
   using Scalar = typename Traits::Scalar;
   using Map = typename Traits::Map;
-  using ParticleT = Particle<Scalar>;
   using ObservationModel = typename Traits::ObservationModel;
 
   /// The map must outlive the filter.
@@ -198,18 +197,13 @@ class ParticleFilter {
   void set_kernel_backend(kernels::KernelBackend backend) {
     backend_ = backend;
   }
-  /// AoS-style read view over the SoA storage (see particle_soa.hpp).
-  ParticleSpan<Scalar, true> particles() const {
-    return ParticleSpan<Scalar, true>(st_.particles);
-  }
-  /// Advanced: direct particle access for custom initialization or
-  /// injection schemes (e.g. kidnapped-robot recovery). The filter makes
-  /// no assumption about weights beyond being non-negative and finite.
-  ParticleSpan<Scalar, false> mutable_particles() {
-    return ParticleSpan<Scalar, false>(st_.particles);
-  }
-  /// Raw field arrays, for kernels and benches that want the SoA layout.
+  /// The particles, one array per field (see particle_soa.hpp).
   const ParticleSoA<Scalar>& soa() const { return st_.particles; }
+  /// Advanced: direct particle access for custom initialization or
+  /// injection schemes (e.g. kidnapped-robot recovery). Writes must keep
+  /// the size; the filter makes no assumption about weights beyond being
+  /// non-negative and finite.
+  ParticleSoA<Scalar>& mutable_soa() { return st_.particles; }
   /// Active particle count. Equal to config().num_particles unless
   /// adaptive counts shrank/grew the set.
   std::size_t size() const { return st_.particles.size(); }

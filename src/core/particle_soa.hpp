@@ -13,16 +13,9 @@
 /// Total memory is unchanged: four arrays of N Scalars is exactly
 /// N · sizeof(Particle<Scalar>) bytes, so the Fig 9 accounting in
 /// particle.hpp still holds.
-///
-/// The old AoS API survives as a THIN VIEW: ParticleSpan hands out
-/// reference proxies with `.x/.y/.yaw/.weight` members that alias the
-/// arrays, so existing call sites (`for (const auto& p : pf.particles())`,
-/// `pf.mutable_particles()[i].weight = …`) keep working unmodified.
 
 #include <cstddef>
 #include <vector>
-
-#include "core/particle.hpp"
 
 namespace tofmcl::core {
 
@@ -68,79 +61,6 @@ struct ParticleSoA {
     yaw.swap(other.yaw);
     weight.swap(other.weight);
   }
-};
-
-/// Mutable reference proxy: four references aliasing one SoA slot, shaped
-/// like Particle<Scalar>.
-template <typename Scalar>
-struct ParticleRef {
-  Scalar& x;
-  Scalar& y;
-  Scalar& yaw;
-  Scalar& weight;
-
-  ParticleRef& operator=(const Particle<Scalar>& p) {
-    x = p.x;
-    y = p.y;
-    yaw = p.yaw;
-    weight = p.weight;
-    return *this;
-  }
-  operator Particle<Scalar>() const { return {x, y, yaw, weight}; }
-};
-
-/// Read-only reference proxy.
-template <typename Scalar>
-struct ParticleCRef {
-  const Scalar& x;
-  const Scalar& y;
-  const Scalar& yaw;
-  const Scalar& weight;
-
-  operator Particle<Scalar>() const { return {x, y, yaw, weight}; }
-};
-
-/// AoS-style view over a ParticleSoA: indexing and iteration yield
-/// reference proxies. Supports the subset of std::span<Particle> the
-/// call sites actually use (size, operator[], range-for).
-template <typename Scalar, bool Const>
-class ParticleSpan {
-  using Storage =
-      std::conditional_t<Const, const ParticleSoA<Scalar>, ParticleSoA<Scalar>>;
-  using Ref = std::conditional_t<Const, ParticleCRef<Scalar>, ParticleRef<Scalar>>;
-
- public:
-  explicit ParticleSpan(Storage& soa) : soa_(&soa) {}
-
-  std::size_t size() const { return soa_->size(); }
-
-  Ref operator[](std::size_t i) const {
-    return Ref{soa_->x[i], soa_->y[i], soa_->yaw[i], soa_->weight[i]};
-  }
-
-  class iterator {
-   public:
-    iterator(Storage* soa, std::size_t i) : soa_(soa), i_(i) {}
-    Ref operator*() const {
-      return Ref{soa_->x[i_], soa_->y[i_], soa_->yaw[i_], soa_->weight[i_]};
-    }
-    iterator& operator++() {
-      ++i_;
-      return *this;
-    }
-    bool operator!=(const iterator& other) const { return i_ != other.i_; }
-    bool operator==(const iterator& other) const { return i_ == other.i_; }
-
-   private:
-    Storage* soa_;
-    std::size_t i_;
-  };
-
-  iterator begin() const { return iterator(soa_, 0); }
-  iterator end() const { return iterator(soa_, soa_->size()); }
-
- private:
-  Storage* soa_;
 };
 
 }  // namespace tofmcl::core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -41,10 +42,34 @@ std::vector<sensor::TofSensorConfig> default_sensor_deck() {
   return {front, rear};
 }
 
+ScoringContext::ScoringContext(std::shared_ptr<const MapResources> maps,
+                               LocalizerConfig config,
+                               std::shared_ptr<ParticleArena> arena)
+    : maps_(std::move(maps)),
+      config_(std::move(config)),
+      arena_(std::move(arena)) {
+  TOFMCL_EXPECTS(maps_ != nullptr, "scoring context needs map resources");
+  TOFMCL_EXPECTS(!maps_->free_cells.empty(),
+                 "map has no free cells to localize in");
+  TOFMCL_EXPECTS(maps_->rmax == config_.mcl.rmax,
+                 "map resources built with a different rmax");
+  if (config_.precision == Precision::kFp32) {
+    TOFMCL_EXPECTS(maps_->float_map.has_value(),
+                   "map resources lack the float EDT");
+  } else {
+    TOFMCL_EXPECTS(maps_->quantized_map.has_value() && maps_->lut.has_value(),
+                   "map resources lack the quantized EDT and its LUT");
+    const BeamModelParams want = beam_model_params(config_.mcl);
+    const BeamModelParams& have = maps_->lut_params;
+    TOFMCL_EXPECTS(have.sigma_obs == want.sigma_obs &&
+                       have.z_hit == want.z_hit && have.z_rand == want.z_rand,
+                   "map LUT built for another (sigma_obs, z_hit, z_rand)");
+  }
+  if (config_.sensors.empty()) config_.sensors = default_sensor_deck();
+}
+
 std::shared_ptr<const ScoringContext> build_scoring_context(
     std::shared_ptr<const MapResources> maps, LocalizerConfig config) {
-  TOFMCL_EXPECTS(maps != nullptr, "scoring context needs map resources");
-  if (config.sensors.empty()) config.sensors = default_sensor_deck();
   return std::make_shared<const ScoringContext>(
       std::move(maps), std::move(config), std::make_shared<ParticleArena>());
 }

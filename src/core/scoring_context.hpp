@@ -27,7 +27,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/geometry.hpp"
@@ -54,15 +53,16 @@ struct LocalizerConfig {
 /// Read-only per-map state shared by every localizer on that map: the
 /// free-space support, the distance field(s) and the likelihood LUT. Built
 /// once per (grid, MCL parameters) and handed out as shared_ptr-to-const;
-/// campaign batches reuse it across all concurrent runs.
+/// every ScoringContext on the map shares it.
 struct MapResources {
   std::vector<Vec2> free_cells;
   double cell_jitter = 0.0;
   double rmax = 0.0;
   std::optional<map::DistanceMap> float_map;
   std::optional<map::QuantizedDistanceMap> quantized_map;
-  /// Prebuilt LUT for the quantized maps; only valid for filters whose
-  /// beam-model parameters equal lut_params.
+  /// The quantized maps' LUT, built for lut_params. It is the only table
+  /// a *qm filter scores with: a context whose (sigma_obs, z_hit, z_rand)
+  /// differ from lut_params is rejected, not given a private table.
   std::optional<LikelihoodLut> lut;
   BeamModelParams lut_params{};
 };
@@ -83,18 +83,22 @@ std::vector<sensor::TofSensorConfig> default_sensor_deck();
 /// + the arena sessions lease particle blocks from. Built by
 /// build_scoring_context, shared as shared_ptr-to-const, never mutated —
 /// see the file comment and the `context-immutable` lint rule.
+///
+/// A context is only built on a matching map and LUT: the constructor
+/// checks the resources against the config once, so a Localizer on the
+/// context neither re-checks them nor falls back to a private table.
 class ScoringContext {
  public:
+  /// Throws PreconditionError unless the map has free cells,
+  /// maps->rmax == config.mcl.rmax, the EDT for config.precision is
+  /// present, and for the *qm precisions the LUT exists and was built for
+  /// the config's (sigma_obs, z_hit, z_rand); z_short / lambda_short may
+  /// differ, because the table covers hit + rand only. Then defaults an
+  /// empty sensor deck. Called by build_scoring_context.
   ScoringContext(std::shared_ptr<const MapResources> maps,
-                 LocalizerConfig config, std::shared_ptr<ParticleArena> arena)
-      : maps_(std::move(maps)),
-        config_(std::move(config)),
-        arena_(std::move(arena)) {}
+                 LocalizerConfig config, std::shared_ptr<ParticleArena> arena);
 
   const MapResources& maps() const { return *maps_; }
-  const std::shared_ptr<const MapResources>& map_resources() const {
-    return maps_;
-  }
   /// Resolved configuration (sensors defaulted, ready for any session).
   const LocalizerConfig& config() const { return config_; }
   /// The per-map particle arena. The arena itself is internally
@@ -117,8 +121,9 @@ struct SessionKnobs {
   std::optional<std::size_t> num_particles;
 };
 
-/// Builds a context from prebuilt map resources. Resolves the config
-/// (empty sensors → default deck) and creates the map's particle arena.
+/// Builds a context from prebuilt map resources with a fresh particle
+/// arena. Throws PreconditionError when the resources were not built for
+/// `config` (see the ScoringContext constructor).
 std::shared_ptr<const ScoringContext> build_scoring_context(
     std::shared_ptr<const MapResources> maps, LocalizerConfig config);
 

@@ -65,7 +65,7 @@ TYPED_TEST(FilterVariants, ParticleCountInvariant) {
                                   beam_at(-1, 1), beam_at(3, 1)};
   for (int i = 0; i < 10; ++i) {
     pf.update(Pose2{0.11, 0.0, 0.02}, beams);
-    EXPECT_EQ(pf.particles().size(), 333u);
+    EXPECT_EQ(pf.soa().size(), 333u);
   }
 }
 
@@ -82,8 +82,8 @@ TYPED_TEST(FilterVariants, WeightsFiniteAndNonNegative) {
   for (int round = 0; round < 30; ++round) {
     pf.motion_update(Pose2{0.12, 0.0, 0.03});
     pf.observation_update(beams);
-    for (const auto& p : pf.particles()) {
-      const float w = static_cast<float>(p.weight);
+    for (const auto weight : pf.soa().weight) {
+      const float w = static_cast<float>(weight);
       EXPECT_TRUE(std::isfinite(w));
       EXPECT_GE(w, 0.0f);
     }
@@ -106,12 +106,13 @@ TYPED_TEST(FilterVariants, PosesStayInsideReasonableBounds) {
   for (int round = 0; round < 40; ++round) {
     pf.update(Pose2{0.1, 0.0, 0.05}, beams);
   }
-  for (const auto& p : pf.particles()) {
-    EXPECT_GT(static_cast<float>(p.x), -3.0f);
-    EXPECT_LT(static_cast<float>(p.x), 7.0f);
-    EXPECT_GT(static_cast<float>(p.y), -3.0f);
-    EXPECT_LT(static_cast<float>(p.y), 7.0f);
-    EXPECT_LE(std::abs(static_cast<float>(p.yaw)),
+  const auto& soa = pf.soa();
+  for (std::size_t i = 0; i < soa.size(); ++i) {
+    EXPECT_GT(static_cast<float>(soa.x[i]), -3.0f);
+    EXPECT_LT(static_cast<float>(soa.x[i]), 7.0f);
+    EXPECT_GT(static_cast<float>(soa.y[i]), -3.0f);
+    EXPECT_LT(static_cast<float>(soa.y[i]), 7.0f);
+    EXPECT_LE(std::abs(static_cast<float>(soa.yaw[i])),
               static_cast<float>(kPi) + 0.01f);
   }
 }

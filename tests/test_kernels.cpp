@@ -90,18 +90,18 @@ template <typename Traits>
 void expect_state_matches(const ParticleFilter<Traits>& scalar_pf,
                           const ParticleFilter<Traits>& simd_pf,
                           const char* where) {
-  const auto a = scalar_pf.particles();
-  const auto b = simd_pf.particles();
+  const auto& a = scalar_pf.soa();
+  const auto& b = simd_pf.soa();
   ASSERT_EQ(a.size(), b.size()) << where;
   std::int64_t max_ulp = 0;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(static_cast<float>(a[i].x), static_cast<float>(b[i].x))
+    ASSERT_EQ(static_cast<float>(a.x[i]), static_cast<float>(b.x[i]))
         << where << " particle " << i;
-    ASSERT_EQ(static_cast<float>(a[i].y), static_cast<float>(b[i].y))
+    ASSERT_EQ(static_cast<float>(a.y[i]), static_cast<float>(b.y[i]))
         << where << " particle " << i;
-    ASSERT_EQ(static_cast<float>(a[i].yaw), static_cast<float>(b[i].yaw))
+    ASSERT_EQ(static_cast<float>(a.yaw[i]), static_cast<float>(b.yaw[i]))
         << where << " particle " << i;
-    max_ulp = std::max(max_ulp, ulp_delta(a[i].weight, b[i].weight));
+    max_ulp = std::max(max_ulp, ulp_delta(a.weight[i], b.weight[i]));
   }
   EXPECT_LE(max_ulp, kMaxWeightUlp) << where;
 }
@@ -224,7 +224,7 @@ TEST(Kernels, NearUnderflow128BeamsMatchScalar) {
     simd_pf.observation_update(matched);
     expect_state_matches(scalar_pf, simd_pf, "128 beams");
     // The normalized product actually survived (the scenario is live).
-    EXPECT_GT(static_cast<float>(simd_pf.particles()[0].weight), 1e-3f);
+    EXPECT_GT(static_cast<float>(simd_pf.soa().weight[0]), 1e-3f);
   }
 }
 
@@ -357,8 +357,8 @@ TEST(Kernels, Fp16WeightPrecisionMatchesScalar) {
       simd_pf.motion_observation_update(Pose2{0.05, 0.0, 0.01}, beams);
       expect_state_matches(scalar_pf, simd_pf, "fp16-store round");
       // Every weight sits exactly on a binary16 value in BOTH filters.
-      for (const auto& p : simd_pf.particles()) {
-        const float w = static_cast<float>(p.weight);
+      for (const auto weight : simd_pf.soa().weight) {
+        const float w = static_cast<float>(weight);
         EXPECT_EQ(w, half_bits_to_float(float_to_half_bits(w)));
       }
       scalar_pf.resample();
@@ -415,12 +415,12 @@ TEST(Kernels, DirectModelIgnoresBackendRequest) {
   for (int round = 0; round < 3; ++round) {
     scalar_pf.motion_observation_update(Pose2{0.05, 0.01, 0.02}, beams);
     simd_pf.motion_observation_update(Pose2{0.05, 0.01, 0.02}, beams);
-    const auto a = scalar_pf.particles();
-    const auto b = simd_pf.particles();
+    const auto& a = scalar_pf.soa();
+    const auto& b = simd_pf.soa();
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(static_cast<float>(a[i].weight),
-                static_cast<float>(b[i].weight))
+      ASSERT_EQ(static_cast<float>(a.weight[i]),
+                static_cast<float>(b.weight[i]))
           << i;
     }
     scalar_pf.resample();

@@ -253,6 +253,42 @@ TEST(Localizer, TrackingInitStaysLocked) {
   EXPECT_LT(final_err, 0.8);
 }
 
+// A context is the only way to a filter, so it must refuse resources that
+// cannot serve its config instead of scoring with the wrong map or table.
+TEST(ScoringContext, RejectsResourcesBuiltForAnotherConfig) {
+  const auto grid = maze_grid();
+  const LocalizerConfig cfg = base_config(Precision::kFp32Qm, 256);
+  const Precision built = Precision::kFp32Qm;
+  const auto maps = build_map_resources(grid, cfg.mcl, {&built, 1});
+
+  LocalizerConfig other_rmax = cfg;
+  other_rmax.mcl.rmax += 0.5;
+  EXPECT_THROW(build_scoring_context(maps, other_rmax), PreconditionError);
+  LocalizerConfig other_sigma = cfg;
+  other_sigma.mcl.sigma_obs += 0.05;
+  EXPECT_THROW(build_scoring_context(maps, other_sigma), PreconditionError);
+  LocalizerConfig float_map = cfg;
+  float_map.precision = Precision::kFp32;
+  EXPECT_THROW(build_scoring_context(maps, float_map), PreconditionError);
+
+  // The LUT covers hit + rand only, so the short-return terms may differ.
+  LocalizerConfig mixture = cfg;
+  mixture.mcl.z_short = 0.5;
+  mixture.mcl.lambda_short = 2.0;
+  SerialExecutor exec;
+  Localizer loc(build_scoring_context(maps, mixture),
+                {mixture.mcl.seed, mixture.mcl.num_particles}, exec);
+  loc.start_global();
+  loc.on_odometry(Pose2{0.0, 0.0, 0.0});
+  loc.on_odometry(Pose2{0.2, 0.0, 0.0});
+  sensor::TofFrame frame;
+  frame.sensor_id = 0;
+  frame.mode = sensor::ZoneMode::k8x8;
+  frame.zones.assign(64, {1.0f, sensor::ZoneStatus::kValid});
+  EXPECT_TRUE(loc.on_frames({&frame, 1}));
+  EXPECT_EQ(loc.updates_run(), 1u);
+}
+
 /// Converts to any member type; only ever named in unevaluated operands.
 struct AnyField {
   template <typename T>

@@ -71,10 +71,11 @@ TEST(ParticleFilter, UniformInitCoversSupport) {
 
   RunningStats xs;
   RunningStats yaws;
-  for (const auto& p : pf.particles()) {
-    xs.add(static_cast<double>(p.x));
-    yaws.add(static_cast<double>(p.yaw));
-    EXPECT_FLOAT_EQ(static_cast<float>(p.weight), 1.0f);
+  const auto& soa = pf.soa();
+  for (std::size_t i = 0; i < soa.size(); ++i) {
+    xs.add(static_cast<double>(soa.x[i]));
+    yaws.add(static_cast<double>(soa.yaw[i]));
+    EXPECT_FLOAT_EQ(static_cast<float>(soa.weight[i]), 1.0f);
   }
   // Spread over the whole box.
   EXPECT_LT(xs.min(), 0.5);
@@ -92,9 +93,10 @@ TEST(ParticleFilter, GaussianInitClusters) {
   pf.init_gaussian({1.0, 2.0, 0.5}, 0.1, 0.05);
   RunningStats xs;
   RunningStats ys;
-  for (const auto& p : pf.particles()) {
-    xs.add(static_cast<double>(p.x));
-    ys.add(static_cast<double>(p.y));
+  const auto& soa = pf.soa();
+  for (std::size_t i = 0; i < soa.size(); ++i) {
+    xs.add(static_cast<double>(soa.x[i]));
+    ys.add(static_cast<double>(soa.y[i]));
   }
   EXPECT_NEAR(xs.mean(), 1.0, 0.02);
   EXPECT_NEAR(ys.mean(), 2.0, 0.02);
@@ -116,10 +118,11 @@ TEST(ParticleFilter, MotionUpdateStatistics) {
   RunningStats xs;
   RunningStats ys;
   RunningStats yaws;
-  for (const auto& p : pf.particles()) {
-    xs.add(static_cast<double>(p.x));
-    ys.add(static_cast<double>(p.y));
-    yaws.add(static_cast<double>(p.yaw));
+  const auto& soa = pf.soa();
+  for (std::size_t i = 0; i < soa.size(); ++i) {
+    xs.add(static_cast<double>(soa.x[i]));
+    ys.add(static_cast<double>(soa.y[i]));
+    yaws.add(static_cast<double>(soa.yaw[i]));
   }
   // Mean moves by the commanded delta; spread matches σ_odom.
   EXPECT_NEAR(xs.mean(), 2.3, 0.005);
@@ -140,9 +143,8 @@ TEST(ParticleFilter, MotionDeltaIsBodyFrame) {
   ParticleFilter<Fp32Traits> pf(dm, cfg, exec);
   pf.init_gaussian({2.0, 2.0, kPi / 2.0}, 0.0, 0.0);  // facing +y
   pf.motion_update(Pose2{0.5, 0.0, 0.0});             // forward in body frame
-  const auto& p = pf.particles()[0];
-  EXPECT_NEAR(static_cast<float>(p.x), 2.0f, 1e-5);
-  EXPECT_NEAR(static_cast<float>(p.y), 2.5f, 1e-5);
+  EXPECT_NEAR(static_cast<float>(pf.soa().x[0]), 2.0f, 1e-5);
+  EXPECT_NEAR(static_cast<float>(pf.soa().y[0]), 2.5f, 1e-5);
 }
 
 TEST(ParticleFilter, ObservationWeightsFavorTruePose) {
@@ -158,12 +160,12 @@ TEST(ParticleFilter, ObservationWeightsFavorTruePose) {
   // Construct beams as if measured from (1.0, 1.0) facing +x: wall at 1 m.
   const std::array<Beam, 1> beams{beam_at(0.0, 1.0)};
   pf.observation_update(beams);
-  const float w_true = static_cast<float>(pf.particles()[0].weight);
+  const float w_true = static_cast<float>(pf.soa().weight[0]);
 
   ParticleFilter<Fp32Traits> pf2(dm, cfg, exec);
   pf2.init_gaussian({0.5, 1.0, 0.0}, 0.0, 0.0);
   pf2.observation_update(beams);
-  const float w_wrong = static_cast<float>(pf2.particles()[0].weight);
+  const float w_wrong = static_cast<float>(pf2.soa().weight[0]);
 
   EXPECT_GT(w_true, w_wrong);
   EXPECT_GT(w_true, 0.9f);  // endpoint lands on the wall → EDT ≈ 0
@@ -176,8 +178,8 @@ TEST(ParticleFilter, EmptyBeamSetLeavesWeights) {
   ParticleFilter<Fp32Traits> pf(dm, small_config(64), exec);
   pf.init_gaussian({1.0, 1.0, 0.0}, 0.1, 0.1);
   pf.observation_update({});
-  for (const auto& p : pf.particles()) {
-    EXPECT_FLOAT_EQ(static_cast<float>(p.weight), 1.0f);
+  for (const auto weight : pf.soa().weight) {
+    EXPECT_FLOAT_EQ(static_cast<float>(weight), 1.0f);
   }
 }
 
@@ -194,8 +196,8 @@ TEST(ParticleFilter, ResampleConcentratesOnHighWeight) {
   pf.observation_update(beams);
   pf.resample();
   // All weights reset to 1 after resampling.
-  for (const auto& p : pf.particles()) {
-    EXPECT_FLOAT_EQ(static_cast<float>(p.weight), 1.0f);
+  for (const auto weight : pf.soa().weight) {
+    EXPECT_FLOAT_EQ(static_cast<float>(weight), 1.0f);
   }
 }
 
@@ -211,15 +213,15 @@ TEST(ParticleFilter, ResampleIsUnbiased) {
   // Contiguous groups (interleaved patterns alias with the regular arrow
   // spacing — an inherent property of systematic resampling, not a bug):
   // group A (first 500, x=0.5) weight 1; group B (last 500, x=2.5) weight 3.
-  auto particles = pf.mutable_particles();
+  auto& particles = pf.mutable_soa();
   for (std::size_t i = 0; i < particles.size(); ++i) {
-    particles[i].x = (i < 500) ? 0.5f : 2.5f;
-    particles[i].weight = (i < 500) ? 1.0f : 3.0f;
+    particles.x[i] = (i < 500) ? 0.5f : 2.5f;
+    particles.weight[i] = (i < 500) ? 1.0f : 3.0f;
   }
   pf.resample();
   int group_b = 0;
-  for (const auto& p : pf.particles()) {
-    if (static_cast<float>(p.x) > 1.5f) ++group_b;
+  for (const auto x : pf.soa().x) {
+    if (static_cast<float>(x) > 1.5f) ++group_b;
   }
   // Expected 750 of 1000; for a contiguous weight block systematic
   // resampling assigns N·W copies within ±1.
@@ -237,16 +239,16 @@ TEST(ParticleFilter, ResampleMatchesWeightsAcrossChunkCounts) {
     cfg.chunks = chunks;
     ParticleFilter<Fp32Traits> pf(dm, cfg, exec);
     pf.init_gaussian({1.0, 1.0, 0.0}, 0.0, 0.0);
-    auto particles = pf.mutable_particles();
+    auto& particles = pf.mutable_soa();
     // Contiguous block: first 400 particles have weight 2 (group A).
     for (std::size_t i = 0; i < particles.size(); ++i) {
-      particles[i].x = (i < 400) ? 0.5f : 2.5f;
-      particles[i].weight = (i < 400) ? 2.0f : 1.0f;
+      particles.x[i] = (i < 400) ? 0.5f : 2.5f;
+      particles.weight[i] = (i < 400) ? 2.0f : 1.0f;
     }
     pf.resample();
     int group_a = 0;
-    for (const auto& p : pf.particles()) {
-      if (static_cast<float>(p.x) < 1.5f) ++group_a;
+    for (const auto x : pf.soa().x) {
+      if (static_cast<float>(x) < 1.5f) ++group_a;
     }
     // Group A mass: 400·2 / (400·2 + 800·1) = 0.5 → 600 copies.
     EXPECT_NEAR(group_a, 600, 1) << "chunks=" << chunks;
@@ -279,13 +281,13 @@ TEST(ParticleFilter, ResampleBitExactAcrossExecutors) {
     pf_serial.update(Pose2{0.1, 0.02, 0.05}, beams);
     pf_threaded.update(Pose2{0.1, 0.02, 0.05}, beams);
   }
-  const auto a = pf_serial.particles();
-  const auto b = pf_threaded.particles();
+  const auto& a = pf_serial.soa();
+  const auto& b = pf_threaded.soa();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(static_cast<float>(a[i].x), static_cast<float>(b[i].x)) << i;
-    EXPECT_EQ(static_cast<float>(a[i].y), static_cast<float>(b[i].y)) << i;
-    EXPECT_EQ(static_cast<float>(a[i].yaw), static_cast<float>(b[i].yaw))
+    EXPECT_EQ(static_cast<float>(a.x[i]), static_cast<float>(b.x[i])) << i;
+    EXPECT_EQ(static_cast<float>(a.y[i]), static_cast<float>(b.y[i])) << i;
+    EXPECT_EQ(static_cast<float>(a.yaw[i]), static_cast<float>(b.yaw[i]))
         << i;
   }
   const auto ea = pf_serial.compute_pose();
@@ -312,9 +314,9 @@ TEST(ParticleFilter, ResampleHandlesDegenerateWeights) {
     pf.observation_update(beams);
     pf.resample();
   }
-  EXPECT_EQ(pf.particles().size(), 64u);
-  for (const auto& p : pf.particles()) {
-    EXPECT_TRUE(std::isfinite(static_cast<float>(p.x)));
+  EXPECT_EQ(pf.soa().size(), 64u);
+  for (const auto x : pf.soa().x) {
+    EXPECT_TRUE(std::isfinite(static_cast<float>(x)));
   }
 }
 
@@ -414,9 +416,10 @@ TEST(ParticleFilter, Fp16VariantStaysFiniteAndClose) {
   const PoseEstimate est = pf.compute_pose();
   ASSERT_TRUE(est.valid);
   EXPECT_TRUE(std::isfinite(est.pose.x()));
-  for (const auto& p : pf.particles()) {
-    EXPECT_FALSE(p.weight.is_nan());
-    EXPECT_FALSE(Half(static_cast<float>(p.x)).is_inf());
+  const auto& soa = pf.soa();
+  for (std::size_t i = 0; i < soa.size(); ++i) {
+    EXPECT_FALSE(soa.weight[i].is_nan());
+    EXPECT_FALSE(Half(static_cast<float>(soa.x[i])).is_inf());
   }
 }
 
@@ -444,16 +447,16 @@ TEST(ParticleFilter, FusedKernelMatchesSeparatePhases) {
     fused.motion_observation_update(Pose2{0.1, 0.02, 0.05}, beams);
     fused.resample();
   }
-  const auto a = separate.particles();
-  const auto b = fused.particles();
+  const auto& a = separate.soa();
+  const auto& b = fused.soa();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(static_cast<float>(a[i].x), static_cast<float>(b[i].x)) << i;
-    EXPECT_EQ(static_cast<float>(a[i].y), static_cast<float>(b[i].y)) << i;
-    EXPECT_EQ(static_cast<float>(a[i].yaw), static_cast<float>(b[i].yaw))
+    EXPECT_EQ(static_cast<float>(a.x[i]), static_cast<float>(b.x[i])) << i;
+    EXPECT_EQ(static_cast<float>(a.y[i]), static_cast<float>(b.y[i])) << i;
+    EXPECT_EQ(static_cast<float>(a.yaw[i]), static_cast<float>(b.yaw[i]))
         << i;
-    EXPECT_EQ(static_cast<float>(a[i].weight),
-              static_cast<float>(b[i].weight))
+    EXPECT_EQ(static_cast<float>(a.weight[i]),
+              static_cast<float>(b.weight[i]))
         << i;
   }
   const PoseEstimate ea = separate.compute_pose();
@@ -473,12 +476,12 @@ TEST(ParticleFilter, FusedKernelWithEmptyBeamsIsMotionOnly) {
   fused.init_gaussian({1.0, 1.0, 0.0}, 0.1, 0.1);
   motion_only.motion_update(Pose2{0.2, 0.0, 0.1});
   fused.motion_observation_update(Pose2{0.2, 0.0, 0.1}, {});
-  const auto a = motion_only.particles();
-  const auto b = fused.particles();
+  const auto& a = motion_only.soa();
+  const auto& b = fused.soa();
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(static_cast<float>(a[i].x), static_cast<float>(b[i].x)) << i;
-    EXPECT_EQ(static_cast<float>(a[i].weight),
-              static_cast<float>(b[i].weight))
+    EXPECT_EQ(static_cast<float>(a.x[i]), static_cast<float>(b.x[i])) << i;
+    EXPECT_EQ(static_cast<float>(a.weight[i]),
+              static_cast<float>(b.weight[i]))
         << i;
   }
   EXPECT_EQ(fused.workload().beams, 0u);
@@ -511,7 +514,7 @@ TEST(ParticleFilter, InjectionMonitorSurvives128Beams) {
   pf.observation_update(matched);
   // The normalized product must survive fp32 storage: every factor is
   // ≈ its maximum, so the weight stays near 1 instead of 0.2^128 → 0.
-  EXPECT_GT(static_cast<float>(pf.particles()[0].weight), 1e-3f);
+  EXPECT_GT(static_cast<float>(pf.soa().weight[0]), 1e-3f);
   pf.resample();
   const InjectionMonitor& after_match = pf.injection_monitor();
   EXPECT_TRUE(std::isfinite(after_match.w_slow));
@@ -569,16 +572,16 @@ TEST(ParticleFilter, MixtureFusedKernelMatchesSeparatePhases) {
     EXPECT_EQ(separate.workload().gated_beams, fused.workload().gated_beams)
         << "round " << round;
   }
-  const auto a = separate.particles();
-  const auto b = fused.particles();
+  const auto& a = separate.soa();
+  const auto& b = fused.soa();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(static_cast<float>(a[i].x), static_cast<float>(b[i].x)) << i;
-    EXPECT_EQ(static_cast<float>(a[i].y), static_cast<float>(b[i].y)) << i;
-    EXPECT_EQ(static_cast<float>(a[i].yaw), static_cast<float>(b[i].yaw))
+    EXPECT_EQ(static_cast<float>(a.x[i]), static_cast<float>(b.x[i])) << i;
+    EXPECT_EQ(static_cast<float>(a.y[i]), static_cast<float>(b.y[i])) << i;
+    EXPECT_EQ(static_cast<float>(a.yaw[i]), static_cast<float>(b.yaw[i]))
         << i;
-    EXPECT_EQ(static_cast<float>(a[i].weight),
-              static_cast<float>(b[i].weight))
+    EXPECT_EQ(static_cast<float>(a.weight[i]),
+              static_cast<float>(b.weight[i]))
         << i;
   }
   EXPECT_EQ(separate.estimate().pose.x(), fused.estimate().pose.x());
@@ -633,18 +636,18 @@ TEST(ParticleFilter, FusedMatchesPhasedAcrossGatingArming) {
         << "round " << round;
     (fused.workload().novelty_armed ? armed_seen : disarmed_seen) = true;
 
-    const auto a = separate.particles();
-    const auto b = fused.particles();
+    const auto& a = separate.soa();
+    const auto& b = fused.soa();
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(static_cast<float>(a[i].x), static_cast<float>(b[i].x))
+      ASSERT_EQ(static_cast<float>(a.x[i]), static_cast<float>(b.x[i]))
           << "round " << round << " particle " << i;
-      ASSERT_EQ(static_cast<float>(a[i].y), static_cast<float>(b[i].y))
+      ASSERT_EQ(static_cast<float>(a.y[i]), static_cast<float>(b.y[i]))
           << "round " << round << " particle " << i;
-      ASSERT_EQ(static_cast<float>(a[i].yaw), static_cast<float>(b[i].yaw))
+      ASSERT_EQ(static_cast<float>(a.yaw[i]), static_cast<float>(b.yaw[i]))
           << "round " << round << " particle " << i;
-      ASSERT_EQ(static_cast<float>(a[i].weight),
-                static_cast<float>(b[i].weight))
+      ASSERT_EQ(static_cast<float>(a.weight[i]),
+                static_cast<float>(b.weight[i]))
           << "round " << round << " particle " << i;
     }
   }

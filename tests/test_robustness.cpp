@@ -136,7 +136,7 @@ TEST(Robustness, NonFiniteParticleIsNeverAValidPose) {
   core::ParticleFilter<core::Fp32QmTraits> pf(qmap, cfg, exec);
   pf.init_gaussian({1.5, 0.6, 0.0}, 0.1, 0.1);
   ASSERT_TRUE(pf.compute_pose().valid);
-  pf.mutable_particles()[0].x = std::numeric_limits<float>::quiet_NaN();
+  pf.mutable_soa().x[0] = std::numeric_limits<float>::quiet_NaN();
   EXPECT_FALSE(pf.compute_pose().valid);
 }
 
@@ -197,9 +197,10 @@ TEST(Robustness, EssGatedResamplingWorks) {
     pf.observation_update(beams);
     pf.resample();
     // If the ESS gate skipped the draw, weights stay non-uniform.
-    float w0 = static_cast<float>(pf.particles()[0].weight);
-    for (const auto& p : pf.particles()) {
-      if (std::abs(static_cast<float>(p.weight) - w0) > 1e-6f) {
+    const auto& weights = pf.soa().weight;
+    const float w0 = static_cast<float>(weights[0]);
+    for (const auto weight : weights) {
+      if (std::abs(static_cast<float>(weight) - w0) > 1e-6f) {
         saw_nonuniform_after_resample_phase = true;
         break;
       }

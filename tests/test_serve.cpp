@@ -428,6 +428,19 @@ TEST(SessionManager, RejectsUnknownKeys) {
                PreconditionError);
 }
 
+TEST(SessionManager, OpenSessionRejectsConfigTheMapWasNotBuiltFor) {
+  SessionManager mgr(serve_options(0));
+  mgr.define_map("maze", maze_grid(), base_config().mcl,
+                 {core::Precision::kFp32Qm});
+  SessionOptions opts;
+  opts.config = base_config();
+  opts.config.mcl.rmax += 0.5;
+  EXPECT_THROW(mgr.open_session("maze", opts), PreconditionError);
+  // The rejected open consumed no session id.
+  opts.config = base_config();
+  EXPECT_EQ(mgr.open_session("maze", opts), 0u);
+}
+
 TEST(SessionManager, HasMapTracksDefinitions) {
   SessionManager mgr(serve_options(0));
   EXPECT_FALSE(mgr.has_map("maze"));

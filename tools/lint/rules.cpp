@@ -503,6 +503,9 @@ std::vector<Violation> check_context_immutable(const FileCtx& ctx) {
   std::vector<Violation> out;
   for (std::size_t i = 0; i < t.size(); ++i) {
     if (!is_ident(t, i, "ScoringContext") || t[i].pp) continue;
+    // A gtest suite name, TEST(ScoringContext, ...), names no type.
+    if (i >= 2 && is_punct(t, i - 1, "(") && is_ident(t, i - 2, "TEST"))
+      continue;
     // Walk back over namespace qualifiers (core::, tofmcl::core::, ...)
     // to the first token of the type name, then require a const there:
     // every way to reach the context outside its builder — reference,

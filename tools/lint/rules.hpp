@@ -63,7 +63,8 @@
 ///                         one-per-map across sessions, so a non-const
 ///                         reference/pointer/shared_ptr element would let
 ///                         one session mutate scoring state under all the
-///                         others.
+///                         others. A gtest suite name, TEST(ScoringContext,
+///                         ...), is not a mention of the type.
 ///
 ///  layering
 ///   * raw-intrinsics    — SIMD headers (<immintrin.h>, <arm_neon.h>, …)
