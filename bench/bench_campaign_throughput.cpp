@@ -266,17 +266,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot open trace file %s\n", args.trace_path);
       return 1;
     }
-    trace << std::hexfloat;
-    for (const auto& run : serial.runs) {
-      trace << run.spec.world_index << ' ' << run.spec.sensing_index << ' '
-            << run.spec.observation_index << ' '
-            << run.spec.data_seed << ' ' << run.spec.mcl_seed << ' '
-            << run.updates_run << ' ' << run.particle_beam_ops << ' '
-            << run.metrics.ate_m << ' ' << run.final_pos_error_m << '\n';
-      for (const auto& e : run.errors) {
-        trace << e.t << ' ' << e.pos_error << ' ' << e.yaw_error << '\n';
-      }
-    }
+    trace << eval::campaign_trace(serial);
   }
   return 0;
 }

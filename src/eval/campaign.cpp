@@ -6,6 +6,7 @@
 #include <bit>
 #include <chrono>
 #include <set>
+#include <sstream>
 #include <tuple>
 #include <utility>
 
@@ -386,6 +387,22 @@ void replay_leg(core::Localizer& loc, const sim::Sequence& seq,
       }
     }
   }
+}
+
+std::string campaign_trace(const CampaignResult& result) {
+  std::ostringstream trace;
+  trace << std::hexfloat;
+  for (const CampaignRunResult& run : result.runs) {
+    trace << run.spec.world_index << ' ' << run.spec.sensing_index << ' '
+          << run.spec.observation_index << ' ' << run.spec.data_seed << ' '
+          << run.spec.mcl_seed << ' ' << run.updates_run << ' '
+          << run.particle_beam_ops << ' ' << run.metrics.ate_m << ' '
+          << run.final_pos_error_m << '\n';
+    for (const ErrorSample& e : run.errors) {
+      trace << e.t << ' ' << e.pos_error << ' ' << e.yaw_error << '\n';
+    }
+  }
+  return trace.str();
 }
 
 std::shared_ptr<const core::ScoringContext> Campaign::context_for(

@@ -362,6 +362,13 @@ std::uint64_t campaign_mix(std::uint64_t a, std::uint64_t b);
 /// every derived seed — is identical to the pre-axis engine's.
 std::vector<RunSpec> expand_runs(const CampaignSpec& spec);
 
+/// Hexfloat dump of a campaign result: per run, one line of indices,
+/// seeds, work counters, ATE and final error, then one line per error
+/// sample. The same battery must dump byte-identically in any process;
+/// `bench_campaign_throughput --trace` writes it and the golden campaign
+/// digests hash it.
+std::string campaign_trace(const CampaignResult& result);
+
 /// Replays one recorded leg through an already-initialized localizer:
 /// frames are grouped by capture timestamp, rear frames dropped for 1-ToF
 /// runs, and an error sample recorded (timestamp offset by `t_offset`) at

@@ -10,6 +10,7 @@
 #include <set>
 
 #include "eval/experiment.hpp"
+#include "golden_digest.hpp"
 
 namespace tofmcl::eval {
 namespace {
@@ -466,6 +467,69 @@ TEST(SweepAdapter, MatchesLegacyReplayBitwise) {
   EXPECT_EQ(sweep.runs[0].metrics.ate_m, legacy.ate_m);
   EXPECT_EQ(sweep.runs[0].metrics.convergence_time_s,
             legacy.convergence_time_s);
+}
+
+// Golden digests of the CI campaign smokes (see golden_digest.hpp). Each
+// spec and master seed is the battery `bench_campaign_throughput --smoke
+// --worldgen|--crowd|--stale` builds, so a digest equals the FNV-1a of
+// that bench's `--trace` file under TOFMCL_KERNEL=scalar.
+
+/// The bench's stretch of `spec` to exactly `runs` runs at its smoke
+/// particle count, executed one run at a time.
+CampaignResult run_smoke(CampaignSpec spec, std::size_t runs) {
+  spec.mcl.num_particles = 256;
+  const std::size_t cell_runs =
+      spec.worlds.size() * spec.precisions.size() * spec.sensing.size() *
+      (spec.observation.empty() ? 1 : spec.observation.size());
+  spec.seeds_per_cell = (runs + cell_runs - 1) / cell_runs;
+  Campaign campaign(std::move(spec));
+  std::vector<RunSpec> list = campaign.runs();
+  list.resize(runs);
+  campaign.set_runs(std::move(list));
+  CampaignOptions serial;
+  serial.batched = false;
+  return campaign.run(serial);
+}
+
+TEST(CampaignGolden, WorldgenSmoke) {
+  golden::expect_digest("worldgen smoke", 0x7e0db798c1cefa9eull, [] {
+    CampaignSpec spec;
+    spec.worlds = {{CampaignWorld::kOffice, 0, 3},
+                   {CampaignWorld::kWarehouse, 0, 2},
+                   {CampaignWorld::kLoopCorridor, 2, 1}};
+    spec.precisions = {core::Precision::kFp32Qm};
+    spec.sensing = {{}, {sensor::ZoneMode::k8x8, 15.0, 0.01, true, 2, 1.2}};
+    return campaign_trace(run_smoke(std::move(spec), 2));
+  });
+}
+
+TEST(CampaignGolden, CrowdSmoke) {
+  golden::expect_digest("crowd smoke", 0x4dec6b7292db16c9ull, [] {
+    CampaignSpec spec;
+    spec.worlds = {{CampaignWorld::kWarehouse, 0, 2}};
+    spec.inits = {{InitSpec::Mode::kTracking, 0.2, 0.2, 2}};
+    spec.precisions = {core::Precision::kFp32Qm};
+    spec.sensing = {{sensor::ZoneMode::k8x8, 15.0, 0.01, true, 5, 1.0}};
+    spec.observation = {{}, {0.5, 1.0, true, 0.5, 0.85}};
+    spec.master_seed = 23;
+    return campaign_trace(run_smoke(std::move(spec), 2));
+  });
+}
+
+TEST(CampaignGolden, StaleSmoke) {
+  golden::expect_digest("stale smoke", 0x17e904af7b985423ull, [] {
+    CampaignSpec spec;
+    spec.worlds = {{CampaignWorld::kWarehouse, 0, 2},
+                   {CampaignWorld::kWarehouse, 0, 2, 180.0, 1,
+                    sim::MutationLevel::kLight, 500},
+                   {CampaignWorld::kWarehouse, 0, 2, 180.0, 1,
+                    sim::MutationLevel::kHeavy, 500}};
+    spec.inits = {{InitSpec::Mode::kTracking, 0.2, 0.2, 2}};
+    spec.precisions = {core::Precision::kFp32Qm};
+    spec.observation = {{}, {0.5, 1.0, true, 0.5, 0.85}};
+    spec.master_seed = 29;
+    return campaign_trace(run_smoke(std::move(spec), 6));
+  });
 }
 
 }  // namespace
