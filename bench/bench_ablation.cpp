@@ -54,7 +54,6 @@ int main(int argc, char** argv) {
   base.sequences = args.sequences;
   base.seeds_per_sequence = args.seeds;
   base.threads = args.threads;
-  base.batched_runs = args.batched_runs;
 
   Table table({"ablation", "success_%", "ATE_m", "conv_s", "runs"});
   const auto add = [&table](const char* name, const AblationResult& r) {

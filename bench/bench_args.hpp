@@ -6,17 +6,22 @@
 ///   --full            paper-scale sweep (6 sequences × 6 seeds)
 ///   --sequences N     number of standard flight plans (1..6)
 ///   --seeds N         noise seeds per sequence
-///   --threads N       worker threads (0 = hardware concurrency)
-///   --serial-runs     run-at-a-time reference schedule instead of the
-///                     batched campaign engine (bit-identical results)
+///   --threads N       campaign threads: 1 replays one run at a time (the
+///                     reference schedule), 0 = hardware concurrency;
+///                     results are bit-identical for every value
 ///   --csv DIR         also write the series as CSV into DIR
 ///   --help            usage
+///
+/// Count values go through parse_count(), which bench_campaign_throughput's
+/// parser shares.
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
+#include <system_error>
 
 namespace tofmcl::bench {
 
@@ -24,9 +29,23 @@ struct BenchArgs {
   std::size_t sequences = 6;
   std::size_t seeds = 2;
   std::size_t threads = 0;
-  bool batched_runs = true;
   std::optional<std::string> csv_dir;
 };
+
+/// The value of count flag `flag` as a non-negative decimal integer. A
+/// sign, a non-digit or an out-of-range value exits with code 2 instead of
+/// wrapping into a huge count.
+inline std::size_t parse_count(const char* flag, const char* text) {
+  std::size_t count = 0;
+  const char* end = text + std::strlen(text);
+  const auto [last, error] = std::from_chars(text, end, count);
+  if (error != std::errc() || last != end) {
+    std::fprintf(stderr, "%s expects a non-negative integer, got '%s'\n",
+                 flag, text);
+    std::exit(2);
+  }
+  return count;
+}
 
 inline void print_usage(const char* name, const char* description) {
   std::printf("%s — %s\n", name, description);
@@ -35,8 +54,8 @@ inline void print_usage(const char* name, const char* description) {
       "  --full          paper-scale sweep (6 sequences x 6 seeds)\n"
       "  --sequences N   standard flight plans to use (1..6, default 6)\n"
       "  --seeds N       noise seeds per sequence (default 2)\n"
-      "  --threads N     worker threads (default: hardware)\n"
-      "  --serial-runs   one run at a time instead of batched campaign\n"
+      "  --threads N     campaign threads, 1 = one run at a time\n"
+      "                  (default: hardware)\n"
       "  --csv DIR       write result series as CSV into DIR\n"
       "  --help          this message\n");
 }
@@ -54,6 +73,10 @@ inline BenchArgs parse_args(int argc, char** argv, const char* description) {
       }
       return argv[++i];
     };
+    const auto count = [&] {
+      const char* flag = argv[i];
+      return parse_count(flag, value());
+    };
     if (is("--help") || is("-h")) {
       print_usage(argv[0], description);
       std::exit(0);
@@ -61,13 +84,11 @@ inline BenchArgs parse_args(int argc, char** argv, const char* description) {
       args.sequences = 6;
       args.seeds = 6;
     } else if (is("--sequences")) {
-      args.sequences = static_cast<std::size_t>(std::atoi(value()));
+      args.sequences = count();
     } else if (is("--seeds")) {
-      args.seeds = static_cast<std::size_t>(std::atoi(value()));
+      args.seeds = count();
     } else if (is("--threads")) {
-      args.threads = static_cast<std::size_t>(std::atoi(value()));
-    } else if (is("--serial-runs")) {
-      args.batched_runs = false;
+      args.threads = count();
     } else if (is("--csv")) {
       args.csv_dir = value();
     } else {

@@ -4,8 +4,9 @@
 // prepares the shared read-only state (grids, EDTs, LUT, datasets) once,
 // then executes the SAME battery twice:
 //
-//   serial  — one run at a time (the pre-campaign reference schedule)
-//   batched — runs as ThreadPool tasks across the host cores
+//   serial  — CampaignOptions::threads = 1: one run at a time on the
+//             calling thread (the reference schedule)
+//   batched — threads = --threads: each run a ThreadPool task
 //
 // and reports runs/sec plus observation-phase particle·beam ops/sec for
 // both, the speedup, and verifies the two results are BIT-IDENTICAL (the
@@ -22,6 +23,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "bench_args.hpp"
 #include "eval/campaign.hpp"
 
 using namespace tofmcl;
@@ -32,7 +34,6 @@ struct Args {
   std::size_t runs = 32;
   std::size_t threads = 8;
   std::size_t particles = 1024;
-  bool pooled_chunks = false;
   /// Generated-worlds battery (office + warehouse + loop corridor, with a
   /// dynamic-obstacle sensing axis) instead of the maze matrix.
   bool worldgen = false;
@@ -61,13 +62,17 @@ Args parse(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto count = [&] {
+      const char* flag = argv[i];
+      return bench::parse_count(flag, value());
+    };
     if (is("--help") || is("-h")) {
       std::printf(
           "bench_campaign_throughput — batched vs serial campaign execution\n"
           "  --runs N       campaign size (default 32)\n"
-          "  --threads N    pool size for batched mode (default 8)\n"
+          "  --threads N    pool size for batched mode (default 8;\n"
+          "                 1 = one run at a time)\n"
           "  --particles N  particles per run (default 1024)\n"
-          "  --pooled       also time batched + pooled filter chunks\n"
           "  --smoke        tiny sanity configuration (CI)\n"
           "  --worldgen     generated office/warehouse/loop battery with\n"
           "                 a dynamic-obstacle sensing axis\n"
@@ -82,13 +87,11 @@ Args parse(int argc, char** argv) {
           "                 determinism)\n");
       std::exit(0);
     } else if (is("--runs")) {
-      args.runs = static_cast<std::size_t>(std::atoi(value()));
+      args.runs = count();
     } else if (is("--threads")) {
-      args.threads = static_cast<std::size_t>(std::atoi(value()));
+      args.threads = count();
     } else if (is("--particles")) {
-      args.particles = static_cast<std::size_t>(std::atoi(value()));
-    } else if (is("--pooled")) {
-      args.pooled_chunks = true;
+      args.particles = count();
     } else if (is("--smoke")) {
       args.runs = 2;
       args.threads = 2;
@@ -225,13 +228,12 @@ int main(int argc, char** argv) {
   // Warm the shared caches with the serial pass so both timed executions
   // see identical prepared state.
   eval::CampaignOptions serial_opt;
-  serial_opt.batched = false;
+  serial_opt.threads = 1;
   const eval::CampaignResult serial = campaign.run(serial_opt);
   std::fprintf(stderr, "prepare: %.2f s (amortized across all modes)\n",
                serial.prepare_seconds);
 
   eval::CampaignOptions batched_opt;
-  batched_opt.batched = true;
   batched_opt.threads = args.threads;
   const eval::CampaignResult batched = campaign.run(batched_opt);
 
@@ -240,14 +242,7 @@ int main(int argc, char** argv) {
   report("serial (1 run at a time)", serial, args.runs);
   report("batched", batched, args.runs);
 
-  bool ok = identical(serial, batched);
-  if (args.pooled_chunks) {
-    eval::CampaignOptions pooled_opt = batched_opt;
-    pooled_opt.pooled_filter_chunks = true;
-    const eval::CampaignResult pooled = campaign.run(pooled_opt);
-    report("batched + pooled chunks", pooled, args.runs);
-    ok = ok && identical(serial, pooled);
-  }
+  const bool ok = identical(serial, batched);
 
   const double speedup = serial.execute_seconds / batched.execute_seconds;
   std::printf("\nspeedup (batched / serial): %.2fx on %zu threads\n", speedup,

@@ -23,14 +23,13 @@ int main(int argc, char** argv) {
   cfg.sequences = args.sequences;
   cfg.seeds_per_sequence = args.seeds;
   cfg.threads = args.threads;
-  cfg.batched_runs = args.batched_runs;
 
   std::fprintf(stderr,
                "fig6: running %zu sequences x %zu seeds x 4 variants x %zu "
                "particle counts (%s campaign runs)...\n",
                cfg.sequences, cfg.seeds_per_sequence,
                cfg.particle_counts.size(),
-               cfg.batched_runs ? "batched" : "serial");
+               cfg.threads == 1 ? "serial" : "batched");
   const eval::SweepResult result = eval::run_accuracy_sweep(cfg);
   const auto cells = eval::summarize(cfg, result);
 

@@ -25,6 +25,24 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// Calls task(i) for every i in [0, count). With `threads == 1`, or a
+/// single task, the calls run in order on the calling thread (the
+/// reference schedule); otherwise each is a task on a ThreadPool(threads)
+/// (0 = hardware concurrency). The campaign's one serial-vs-pool
+/// decision, for dataset generation and run execution alike.
+template <typename Task>
+void for_each_task(std::size_t count, std::size_t threads, const Task& task) {
+  if (threads == 1 || count < 2) {
+    for (std::size_t i = 0; i < count; ++i) task(i);
+    return;
+  }
+  ThreadPool pool(threads);
+  for (std::size_t i = 0; i < count; ++i) {
+    pool.submit([&task, i] { task(i); });
+  }
+  pool.wait_idle();
+}
+
 /// Builds the environment + flight-plan table for one world identity.
 std::pair<sim::EvaluationEnvironment, std::vector<sim::FlightPlan>>
 build_world(CampaignWorld kind, std::uint64_t seed, std::size_t laps) {
@@ -295,7 +313,7 @@ void Campaign::prepare_shared(const CampaignOptions& options) {
   // Datasets: one generation per unique (world, generation params, seed,
   // kidnap chain); every init/precision/particle-count variation replays
   // the same recorded flight. Generation is deterministic per key (its
-  // own Rng from data_seed), so it can fan out over the pool. Results
+  // own Rng from data_seed), so it can fan out like the runs. Results
   // land in a local buffer and are committed to the cache only after
   // every generation succeeded — a throwing generation must not leave
   // empty datasets behind for a later run() to trip over.
@@ -307,7 +325,7 @@ void Campaign::prepare_shared(const CampaignOptions& options) {
     missing.emplace_back(key, &run);
   }
   std::vector<Dataset> generated(missing.size());
-  const auto generate = [&](std::size_t i) {
+  for_each_task(missing.size(), options.threads, [&](std::size_t i) {
     const auto& [key, run] = missing[i];
     const SensingSpec& sensing = spec_.sensing[run->sensing_index];
     sim::SequenceGeneratorConfig gen = generator_for(sensing);
@@ -333,25 +351,9 @@ void Campaign::prepare_shared(const CampaignOptions& options) {
       ds.legs.push_back(sim::generate_sequence(
           world.flight_world(), world.plans[*key.kidnap_plan], gen, rng));
     }
-  };
-  if (options.batched && missing.size() > 1) {
-    ThreadPool pool(options.threads);
-    for (std::size_t i = 0; i < missing.size(); ++i) {
-      pool.submit([&generate, i] { generate(i); });
-    }
-    pool.wait_idle();
-  } else {
-    for (std::size_t i = 0; i < missing.size(); ++i) generate(i);
-  }
+  });
   for (std::size_t i = 0; i < missing.size(); ++i) {
     datasets_.emplace(missing[i].first, std::move(generated[i]));
-  }
-
-  horizon_s_ = 0.0;
-  for (const auto& [key, ds] : datasets_) {
-    double total = 0.0;
-    for (const sim::Sequence& leg : ds.legs) total += leg.duration_s;
-    horizon_s_ = std::max(horizon_s_, total);
   }
 }
 
@@ -419,8 +421,7 @@ std::shared_ptr<const core::ScoringContext> Campaign::context_for(
   return ctx_cache_.emplace(key, std::move(ctx)).first->second;
 }
 
-CampaignRunResult Campaign::execute_run(const RunSpec& run,
-                                        core::Executor& executor) const {
+CampaignRunResult Campaign::execute_run(const RunSpec& run) const {
   const WorldSpec& ws = spec_.worlds[run.world_index];
   const World& world = worlds_.at(world_key(ws));
   const SensingSpec& sensing = spec_.sensing[run.sensing_index];
@@ -449,6 +450,7 @@ CampaignRunResult Campaign::execute_run(const RunSpec& run,
   core::SessionKnobs knobs;
   knobs.seed = lc.mcl.seed;
   knobs.num_particles = lc.mcl.num_particles;
+  core::SerialExecutor executor;
   core::Localizer loc(context_for(world.maps, lc), knobs, executor);
   const sim::Sequence& leg1 = dataset.legs.front();
   TOFMCL_EXPECTS(!leg1.odometry.empty(), "dataset leg has no odometry");
@@ -515,46 +517,23 @@ CampaignResult Campaign::run(const CampaignOptions& options) {
 
   CampaignResult result;
   result.runs.resize(runs_.size());
-  result.horizon_s = horizon_s_;
   result.prepare_seconds = prepare_s;
+  // The longest flight of THIS run list: the dataset cache may still hold
+  // flights of a list that set_runs has replaced.
+  for (const RunSpec& run : runs_) {
+    const Dataset& dataset =
+        datasets_.at(dataset_key(run, spec_.sensing[run.sensing_index]));
+    double total = 0.0;
+    for (const sim::Sequence& leg : dataset.legs) total += leg.duration_s;
+    result.horizon_s = std::max(result.horizon_s, total);
+  }
 
   const auto t_execute = std::chrono::steady_clock::now();
-  if (!options.batched) {
-    // Reference schedule: one run at a time; the filter's chunks may
-    // still fan out over a pool (the pre-campaign way to use the cores).
-    if (options.pooled_filter_chunks) {
-      ThreadPool pool(options.threads);
-      core::ThreadPoolExecutor executor(pool);
-      for (std::size_t i = 0; i < runs_.size(); ++i) {
-        result.runs[i] = execute_run(runs_[i], executor);
-      }
-    } else {
-      core::SerialExecutor executor;
-      for (std::size_t i = 0; i < runs_.size(); ++i) {
-        result.runs[i] = execute_run(runs_[i], executor);
-      }
-    }
-  } else {
-    // Batched: every run is a pool task writing its own result slot.
-    // With pooled_filter_chunks the run's chunk phases ALSO land on the
-    // same pool (nested fork-join; the pool's helping wait makes this
-    // deadlock-free).
-    ThreadPool pool(options.threads);
-    for (std::size_t i = 0; i < runs_.size(); ++i) {
-      if (options.pooled_filter_chunks) {
-        pool.submit([this, i, &result, &pool] {
-          core::ThreadPoolExecutor executor(pool);
-          result.runs[i] = execute_run(runs_[i], executor);
-        });
-      } else {
-        pool.submit([this, i, &result] {
-          core::SerialExecutor executor;
-          result.runs[i] = execute_run(runs_[i], executor);
-        });
-      }
-    }
-    pool.wait_idle();
-  }
+  // Every run writes its own result slot, so the schedule cannot change
+  // the result.
+  for_each_task(runs_.size(), options.threads, [&](std::size_t i) {
+    result.runs[i] = execute_run(runs_[i]);
+  });
   result.execute_seconds = seconds_since(t_execute);
   return result;
 }

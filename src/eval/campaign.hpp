@@ -21,16 +21,14 @@
 ///    (core::MapResources), and each simulated dataset per
 ///    (map, sensing, seed) — reused by every init/precision/particle
 ///    variation riding on it;
-///  * runs are scheduled on a ThreadPool as run-level tasks ALONGSIDE the
-///    per-filter chunking: each run may itself execute its filter chunks
-///    on the same pool (CampaignOptions::pooled_filter_chunks), which the
-///    pool's helping wait makes deadlock-free.
+///  * the run is the unit of parallelism: each run executes its filter on
+///    a SerialExecutor, and CampaignOptions::threads decides whether runs
+///    (and dataset generations) go one at a time or onto a ThreadPool.
 ///
 /// Determinism guarantee: for a fixed spec, the CampaignResult is
-/// bit-identical whatever the execution policy — serial run-at-a-time,
-/// batched over any thread count, with or without pooled filter chunks.
-/// Run results are written to slots indexed by run order; seeds are pure
-/// functions of the spec; executors only change wall-clock.
+/// bit-identical for every thread count. Run results are written to slots
+/// indexed by run order; seeds are pure functions of the spec; the thread
+/// count only changes wall-clock.
 
 #include <cstdint>
 #include <map>
@@ -200,24 +198,22 @@ struct CampaignRunResult {
 
 struct CampaignResult {
   std::vector<CampaignRunResult> runs;  ///< In Campaign::runs() order.
-  /// Longest dataset duration (for convergence curves).
+  /// Longest total flight duration among the datasets the run list
+  /// replays (for convergence curves).
   double horizon_s = 0.0;
   /// Wall-clock split: shared-resource preparation vs run execution.
   double prepare_seconds = 0.0;
   double execute_seconds = 0.0;
 };
 
-/// How a campaign's runs are executed.
+/// How a campaign executes. The thread count is the only policy, and
+/// results are bit-identical for every value.
 struct CampaignOptions {
-  /// false: one run at a time on the calling thread (the reference
-  /// schedule). true: runs become ThreadPool tasks.
-  bool batched = true;
-  /// Pool size for batched execution (0 = hardware concurrency).
+  /// 1 runs one run at a time on the calling thread: the reference
+  /// schedule. Any other value submits each run to a ThreadPool of this
+  /// many workers (0 = hardware concurrency). Dataset generation follows
+  /// the same rule.
   std::size_t threads = 0;
-  /// Run each filter's chunk phases on the shared pool too (nested
-  /// fork-join) instead of serially inside its run task. Worth it only
-  /// when runs are few and large; results are bit-identical either way.
-  bool pooled_filter_chunks = false;
 };
 
 /// One replayable flight bundle exported for the serving layer and its
@@ -242,7 +238,7 @@ struct ReplaySource {
 };
 
 /// A campaign: spec + expanded run list + cached shared resources.
-/// run() may be called repeatedly (e.g. once serial, once batched);
+/// run() may be called repeatedly (e.g. once per thread count);
 /// shared resources are built on first use and reused.
 class Campaign {
  public:
@@ -327,8 +323,7 @@ class Campaign {
   static WorldKey world_key(const WorldSpec& ws);
   sim::SequenceGeneratorConfig generator_for(const SensingSpec& s) const;
   void prepare_shared(const CampaignOptions& options);
-  CampaignRunResult execute_run(const RunSpec& run,
-                                core::Executor& executor) const;
+  CampaignRunResult execute_run(const RunSpec& run) const;
 
   /// One shared ScoringContext per (map resources, scoring fingerprint):
   /// every run differing only in seed/particle count leases its particle
@@ -349,7 +344,6 @@ class Campaign {
   mutable std::map<std::pair<const void*, std::string>,
                    std::shared_ptr<const core::ScoringContext>>
       ctx_cache_;
-  double horizon_s_ = 0.0;
 };
 
 /// Deterministic seed derivation used by the matrix expansion: a pure

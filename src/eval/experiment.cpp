@@ -105,7 +105,6 @@ SweepResult run_accuracy_sweep(const SweepConfig& config) {
   campaign.set_runs(std::move(runs));
 
   CampaignOptions options;
-  options.batched = config.batched_runs;
   options.threads = config.threads;
   const CampaignResult campaign_result = campaign.run(options);
 

@@ -53,11 +53,10 @@ struct SweepConfig {
   core::MclConfig mcl;
   /// Map-acquisition error (m) used when rasterizing the localization map.
   double map_error_sigma = 0.01;
-  /// Worker threads for running independent replays (0 = hardware).
+  /// Campaign thread count (CampaignOptions::threads): 1 replays one run
+  /// at a time, any other value runs the replays on a pool of that many
+  /// workers (0 = hardware). Results are bit-identical either way.
   std::size_t threads = 0;
-  /// Run the battery as batched campaign tasks (default) or one run at a
-  /// time (reference schedule; results are bit-identical either way).
-  bool batched_runs = true;
   /// Master seed for the data-generation seeds.
   std::uint64_t master_seed = 2023;
 };
@@ -89,8 +88,9 @@ struct SweepResult {
 
 /// Runs the full sweep on the campaign engine (eval/campaign.hpp): maps,
 /// EDTs, likelihood LUTs and sequences are built once and shared by all
-/// variants and particle counts; runs are scheduled as batched campaign
-/// tasks. Deterministic for a fixed config regardless of scheduling.
+/// variants and particle counts; runs are scheduled by
+/// SweepConfig::threads. Deterministic for a fixed config regardless of
+/// scheduling.
 SweepResult run_accuracy_sweep(const SweepConfig& config);
 
 /// Aggregates sweep runs into per-(variant, N) cells, preserving the

@@ -1,7 +1,7 @@
 // Tests for the batched campaign engine: matrix expansion, deterministic
-// seeding, shared-resource reuse, execution-policy bit-exactness (the
-// engine's core guarantee) and the sweep adapter's equivalence with a
-// hand-rolled legacy replay.
+// seeding, shared-resource reuse, thread-count bit-exactness (the
+// engine's core guarantee), the sweep adapter's equivalence with a
+// hand-rolled legacy replay, and golden digests of the CI smoke batteries.
 
 #include "eval/campaign.hpp"
 
@@ -43,6 +43,22 @@ void expect_bit_identical(const CampaignResult& a, const CampaignResult& b,
     EXPECT_EQ(ra.metrics.ate_m, rb.metrics.ate_m) << label;
     EXPECT_EQ(ra.final_pos_error_m, rb.final_pos_error_m) << label;
   }
+}
+
+/// The engine's core guarantee: a spec gives the same bits for every
+/// thread count. Runs `spec` in two fresh campaigns — one run at a time
+/// (the reference) and on `threads` workers, so dataset generation fans
+/// out too — expects them bit-identical and returns the reference.
+CampaignResult run_thread_count_invariant(const CampaignSpec& spec,
+                                          std::size_t threads,
+                                          const char* label) {
+  CampaignOptions serial;
+  serial.threads = 1;
+  CampaignResult reference = Campaign(spec).run(serial);
+  CampaignOptions pooled;
+  pooled.threads = threads;
+  expect_bit_identical(reference, Campaign(spec).run(pooled), label);
+  return reference;
 }
 
 TEST(CampaignExpansion, CoversTheFullMatrixDeterministically) {
@@ -106,29 +122,12 @@ TEST(Campaign, SetRunsValidatesIndices) {
   EXPECT_THROW(campaign.set_runs({bad}), PreconditionError);
 }
 
-// The engine's core guarantee: serial run-at-a-time, batched, and batched
-// with pooled filter chunks all produce the SAME bits.
 TEST(Campaign, ExecutionPolicyIsBitExact) {
   CampaignSpec spec = small_spec();
   spec.seeds_per_cell = 2;
   spec.precisions = {core::Precision::kFp32Qm, core::Precision::kFp16Qm};
-  Campaign campaign(std::move(spec));
-  ASSERT_EQ(campaign.runs().size(), 4u);
-
-  CampaignOptions serial;
-  serial.batched = false;
-  const CampaignResult a = campaign.run(serial);
-
-  CampaignOptions batched;
-  batched.batched = true;
-  batched.threads = 3;
-  const CampaignResult b = campaign.run(batched);
-  expect_bit_identical(a, b, "serial-vs-batched");
-
-  CampaignOptions nested = batched;
-  nested.pooled_filter_chunks = true;
-  const CampaignResult c = campaign.run(nested);
-  expect_bit_identical(a, c, "serial-vs-nested");
+  const CampaignResult a = run_thread_count_invariant(spec, 3, "maze");
+  ASSERT_EQ(a.runs.size(), 4u);
 
   // And the runs actually did something.
   for (const CampaignRunResult& run : a.runs) {
@@ -169,7 +168,7 @@ TEST(Campaign, TrackingInitConvergesAndKidnappedRecovers) {
 
 // The worldgen acceptance gate: a ≥3-world × {static, dynamic-obstacle}
 // matrix of GENERATED environments runs deterministically — same seeds
-// produce bit-identical results whatever the execution policy — and every
+// produce bit-identical results whatever the thread count — and every
 // cell does real work.
 TEST(Campaign, GeneratedWorldsMatrixIsBitExact) {
   CampaignSpec spec;
@@ -184,23 +183,9 @@ TEST(Campaign, GeneratedWorldsMatrixIsBitExact) {
                   {sensor::ZoneMode::k8x8, 15.0, 0.01, true, 2, 1.2}};
   spec.mcl.num_particles = 512;
   spec.master_seed = 17;
-  Campaign campaign(std::move(spec));
-  ASSERT_EQ(campaign.runs().size(), 6u);  // 3 worlds × {static, dynamic}
-
-  CampaignOptions serial;
-  serial.batched = false;
-  const CampaignResult a = campaign.run(serial);
-
-  CampaignOptions batched;
-  batched.batched = true;
-  batched.threads = 4;
-  const CampaignResult b = campaign.run(batched);
-  expect_bit_identical(a, b, "generated-worlds serial-vs-batched");
-
-  CampaignOptions nested = batched;
-  nested.pooled_filter_chunks = true;
-  const CampaignResult c = campaign.run(nested);
-  expect_bit_identical(a, c, "generated-worlds serial-vs-nested");
+  const CampaignResult a =
+      run_thread_count_invariant(spec, 4, "generated worlds");
+  ASSERT_EQ(a.runs.size(), 6u);  // 3 worlds × {static, dynamic}
 
   for (const CampaignRunResult& run : a.runs) {
     EXPECT_GT(run.updates_run, 10u);
@@ -265,7 +250,7 @@ TEST(Campaign, ObservationAxisBaselineRowsMatchNoAxisBitwise) {
 
 // Heavy-crowd campaign cell (5 crossing pedestrians, mixture + gating
 // axis): the engine's bit-exactness guarantee must hold through the new
-// observation code path on every execution policy. The same battery backs
+// observation code path for every thread count. The same battery backs
 // the cross-process determinism diff in CI (bench_campaign_throughput
 // --smoke --crowd --trace).
 TEST(Campaign, HeavyCrowdCellIsBitExactAcrossPolicies) {
@@ -277,23 +262,8 @@ TEST(Campaign, HeavyCrowdCellIsBitExactAcrossPolicies) {
   spec.observation = {{}, {0.5, 1.0, true, 0.5, 0.85}};
   spec.mcl.num_particles = 1024;
   spec.master_seed = 23;
-  Campaign campaign(std::move(spec));
-  ASSERT_EQ(campaign.runs().size(), 2u);
-
-  CampaignOptions serial;
-  serial.batched = false;
-  const CampaignResult a = campaign.run(serial);
-
-  CampaignOptions batched;
-  batched.batched = true;
-  batched.threads = 4;
-  const CampaignResult b = campaign.run(batched);
-  expect_bit_identical(a, b, "heavy-crowd serial-vs-batched");
-
-  CampaignOptions nested = batched;
-  nested.pooled_filter_chunks = true;
-  const CampaignResult c = campaign.run(nested);
-  expect_bit_identical(a, c, "heavy-crowd serial-vs-nested");
+  const CampaignResult a = run_thread_count_invariant(spec, 4, "heavy crowd");
+  ASSERT_EQ(a.runs.size(), 2u);
 
   for (const CampaignRunResult& run : a.runs) {
     EXPECT_GT(run.updates_run, 10u);
@@ -370,9 +340,9 @@ TEST(Campaign, StaleWorldCacheKeysOnMutationCoordinates) {
 }
 
 // The engine's bit-exactness guarantee holds through the staleness axis
-// on every execution policy (world mutation happens serially in
-// prepare_shared; the STALE DATASET generation fans out on the pool when
-// batched, which is what this exercises alongside the replays).
+// for every thread count (world mutation happens serially in
+// prepare_shared; the STALE DATASET generation fans out on the pool,
+// which is what this exercises alongside the replays).
 TEST(Campaign, StaleCampaignIsBitExactAcrossPolicies) {
   CampaignSpec spec;
   spec.worlds = {{CampaignWorld::kWarehouse, 0, 2},
@@ -385,23 +355,8 @@ TEST(Campaign, StaleCampaignIsBitExactAcrossPolicies) {
   spec.observation = {{}, {0.5, 1.0, true, 0.5, 0.85}};
   spec.mcl.num_particles = 512;
   spec.master_seed = 29;
-  Campaign campaign(std::move(spec));
-  ASSERT_EQ(campaign.runs().size(), 6u);  // 3 staleness × 2 models
-
-  CampaignOptions serial;
-  serial.batched = false;
-  const CampaignResult a = campaign.run(serial);
-
-  CampaignOptions batched;
-  batched.batched = true;
-  batched.threads = 4;
-  const CampaignResult b = campaign.run(batched);
-  expect_bit_identical(a, b, "stale serial-vs-batched");
-
-  CampaignOptions nested = batched;
-  nested.pooled_filter_chunks = true;
-  const CampaignResult c = campaign.run(nested);
-  expect_bit_identical(a, c, "stale serial-vs-nested");
+  const CampaignResult a = run_thread_count_invariant(spec, 4, "stale");
+  ASSERT_EQ(a.runs.size(), 6u);  // 3 staleness × 2 models
 
   for (const CampaignRunResult& run : a.runs) {
     EXPECT_GT(run.updates_run, 10u);
@@ -426,6 +381,29 @@ TEST(Campaign, PatrolWorldOutlivesThe180sCap) {
   EXPECT_GT(result.horizon_s, 180.0);
   EXPECT_GT(result.runs[0].errors.size(), 100u);
   EXPECT_GT(result.runs[0].errors.back().t, 180.0);
+}
+
+// horizon_s is the longest flight the CURRENT run list replays: a flight
+// cached for a list that set_runs has since replaced must not stretch it.
+TEST(Campaign, HorizonFollowsTheCurrentRunList) {
+  CampaignSpec spec;
+  spec.worlds = {{CampaignWorld::kSmallMaze, 1},
+                 {CampaignWorld::kOffice, 0, 3, 600.0, 2}};
+  spec.inits = {{InitSpec::Mode::kTracking, 0.2, 0.2, 2}};
+  spec.precisions = {core::Precision::kFp32Qm};
+  spec.mcl.num_particles = 256;
+  Campaign campaign(spec);
+  ASSERT_EQ(campaign.runs().size(), 2u);
+  const RunSpec maze_run = campaign.runs().front();
+  campaign.export_replay_sources();  // caches the maze flight and the patrol
+  campaign.set_runs({maze_run});
+  const CampaignResult maze_only = campaign.run({});
+
+  Campaign fresh(spec);
+  fresh.set_runs({maze_run});
+  const CampaignResult reference = fresh.run({});
+  EXPECT_GT(reference.horizon_s, 10.0);
+  EXPECT_EQ(maze_only.horizon_s, reference.horizon_s);
 }
 
 // The sweep adapter must reproduce the legacy pipeline exactly: same seed
@@ -487,7 +465,7 @@ CampaignResult run_smoke(CampaignSpec spec, std::size_t runs) {
   list.resize(runs);
   campaign.set_runs(std::move(list));
   CampaignOptions serial;
-  serial.batched = false;
+  serial.threads = 1;
   return campaign.run(serial);
 }
 

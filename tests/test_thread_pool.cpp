@@ -268,8 +268,9 @@ TEST(ThreadPool, TaskGroupRethrowsFirstErrorAndIsReusable) {
 
 // Nested fork-join: a pool task calling parallel_chunks on its own pool
 // must not deadlock even when run-level tasks occupy every worker — the
-// waiting thread helps drain the queue. This is the execution shape of a
-// batched campaign with pooled filter chunks.
+// waiting thread helps drain the queue. This is the shape of pool tasks
+// that each drive a ThreadPoolExecutor filter on the same pool, which the
+// pool's contract allows.
 TEST(ThreadPool, NestedParallelChunksFromPoolTasks) {
   ThreadPool pool(2);  // fewer workers than outer tasks, on purpose
   constexpr std::size_t kOuter = 6;
