@@ -300,16 +300,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot open trace file %s\n", args.trace_path);
       return 1;
     }
-    trace << std::hexfloat;
-    for (std::size_t id = 0; id < args.sessions; ++id) {
-      const serve::Session& s = mgr.session(id);
-      trace << id << ' ' << s.map_key() << ' ' << s.corrections() << ' '
-            << s.dropped_inputs() << '\n';
-      for (const serve::CorrectionRecord& r : s.trace()) {
-        trace << r.t << ' ' << r.pose.position.x << ' ' << r.pose.position.y
-              << ' ' << r.pose.yaw << '\n';
-      }
-    }
+    trace << serve::correction_trace(mgr);
   }
 
   // Eviction tail: the replay is over, every session is idle. Let the

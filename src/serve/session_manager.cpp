@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <chrono>
 #include <set>
+#include <sstream>
 #include <string_view>
 #include <utility>
 
@@ -426,6 +427,21 @@ ServeReport SessionManager::report() const {
     rep.per_map.push_back(std::move(m));
   }
   return rep;
+}
+
+std::string correction_trace(const SessionManager& mgr) {
+  std::ostringstream trace;
+  trace << std::hexfloat;
+  for (std::size_t id = 0; id < mgr.num_sessions(); ++id) {
+    const Session& s = mgr.session(id);
+    trace << id << ' ' << s.map_key() << ' ' << s.corrections() << ' '
+          << s.dropped_inputs() << '\n';
+    for (const CorrectionRecord& r : s.trace()) {
+      trace << r.t << ' ' << r.pose.position.x << ' ' << r.pose.position.y
+            << ' ' << r.pose.yaw << '\n';
+    }
+  }
+  return trace.str();
 }
 
 }  // namespace tofmcl::serve

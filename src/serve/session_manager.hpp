@@ -295,4 +295,12 @@ class SessionManager {
   std::atomic<double> pump_seconds_{0.0};  ///< Advanced by pump() only.
 };
 
+/// Hexfloat dump of every session's correction trace: per session, one
+/// line of id, map key, corrections and dropped inputs, then one line of
+/// t, x, y and yaw per correction. Every session must be live. The same
+/// battery must dump byte-identically in any process and under any pump
+/// schedule; `bench_serving_latency --trace` writes it and the serving
+/// smoke digest (ServeGolden.SmokeBattery) hashes it.
+std::string correction_trace(const SessionManager& mgr);
+
 }  // namespace tofmcl::serve

@@ -4,8 +4,9 @@
 // asserted single-threaded contract and correction-timing hooks, and the
 // serial-vs-pooled determinism gate (bit-identical per-session correction
 // traces whatever the pump schedule — set TOFMCL_SERVE_TRACE to dump a
-// hexfloat trace for cross-process CI diffs), plus a committed golden
-// digest of the serial trace (ServeGolden, ctest entry test_serve_golden).
+// hexfloat trace for cross-process CI diffs), plus committed golden
+// digests of the serial trace and of the `bench_serving_latency --smoke`
+// battery (ServeGolden, ctest entry test_serve_golden).
 //
 // The CI ThreadSanitizer job runs this binary: the pooled pumps below are
 // the cross-thread session-hopping pattern the SerialGuard's
@@ -25,6 +26,7 @@
 #include <thread>
 
 #include "common/serial_guard.hpp"
+#include "eval/campaign.hpp"
 #include "golden_digest.hpp"
 #include "map/snapshot_io.hpp"
 #include "serve/snapshot_store.hpp"
@@ -341,6 +343,92 @@ TEST(SessionManager, SerialAndPooledPumpsYieldBitIdenticalTraces) {
 TEST(ServeGolden, MazeSessions) {
   golden::expect_digest("maze sessions", 0x2943e289cf1bb9a0ull, [] {
     return serve_trace(*run_maze_service(0, 6, 16, 4), 6);
+  });
+}
+
+// Golden digest of the `bench_serving_latency --smoke` battery: the same
+// replay sources, session options and paced push/pump windows, so the
+// digest equals the FNV-1a of that bench's `--trace` file under
+// TOFMCL_KERNEL=scalar.
+
+/// The bench's input stream for one recorded leg: one SessionInput per
+/// frame-capture instant, carrying the last odometry sample at or before
+/// it, cut at `max_ticks` inputs.
+std::vector<SessionInput> replay_stream(const sim::Sequence& seq,
+                                        std::size_t max_ticks) {
+  std::vector<SessionInput> stream;
+  std::size_t frame_idx = 0;
+  for (const sim::StateSample& odom : seq.odometry) {
+    while (frame_idx < seq.frames.size() &&
+           seq.frames[frame_idx].timestamp_s <= odom.t) {
+      const double stamp = seq.frames[frame_idx].timestamp_s;
+      SessionInput input;
+      input.t = stamp;
+      input.odometry = odom.pose;
+      while (frame_idx < seq.frames.size() &&
+             seq.frames[frame_idx].timestamp_s == stamp) {
+        input.frames.push_back(seq.frames[frame_idx]);
+        ++frame_idx;
+      }
+      stream.push_back(std::move(input));
+      if (stream.size() >= max_ticks) return stream;
+    }
+  }
+  return stream;
+}
+
+TEST(ServeGolden, SmokeBattery) {
+  golden::expect_digest("serving smoke", 0x95d1793a975364ddull, [] {
+    constexpr std::size_t kThreads = 2;
+    constexpr std::size_t kSessions = 256;
+    constexpr std::size_t kTicks = 20;
+    constexpr std::size_t kQueue = 8;
+    eval::CampaignSpec spec;
+    spec.worlds = {{eval::CampaignWorld::kSmallMaze, 0},
+                   {eval::CampaignWorld::kSmallMaze, 2}};
+    spec.inits = {{eval::InitSpec::Mode::kTracking, 0.2, 0.2, 2}};
+    spec.precisions = {core::Precision::kFp32Qm};
+    spec.seeds_per_cell = 2;
+    spec.mcl.num_particles = 128;
+    spec.master_seed = 31;
+    eval::Campaign campaign(std::move(spec));
+    eval::CampaignOptions prep;
+    prep.threads = kThreads;
+    const auto sources = campaign.export_replay_sources(prep);
+
+    std::vector<std::vector<SessionInput>> streams;
+    std::size_t ticks = kTicks;
+    for (const eval::ReplaySource& src : sources) {
+      streams.push_back(replay_stream(src.legs.front(), kTicks));
+      ticks = std::min(ticks, streams.back().size());
+    }
+    SessionManager mgr(serve_options(kThreads));
+    for (const eval::ReplaySource& src : sources) {
+      if (!mgr.has_map(src.map_key)) mgr.define_map(src.map_key, src.maps);
+    }
+    for (std::size_t id = 0; id < kSessions; ++id) {
+      const eval::ReplaySource& src = sources[id % sources.size()];
+      SessionOptions opts;
+      opts.config.precision = core::Precision::kFp32Qm;
+      opts.config.mcl = campaign.spec().mcl;
+      opts.config.mcl.seed =
+          eval::campaign_mix(campaign.spec().master_seed, 0x5e55u + id);
+      opts.config.mcl.min_particles = 128;
+      opts.config.sensors = {src.front_tof, src.rear_tof};
+      opts.queue_capacity = kQueue;
+      opts.start = StartPose{src.start_pose, 0.2, 0.2};
+      mgr.open_session(src.map_key, opts);
+    }
+    for (std::size_t base = 0; base < ticks; base += kQueue / 2) {
+      const std::size_t end = std::min(ticks, base + kQueue / 2);
+      for (std::size_t id = 0; id < kSessions; ++id) {
+        for (std::size_t t = base; t < end; ++t) {
+          mgr.push(id, streams[id % sources.size()][t]);
+        }
+      }
+      mgr.pump();
+    }
+    return correction_trace(mgr);
   });
 }
 
