@@ -12,8 +12,9 @@
 ///   --csv DIR         also write the series as CSV into DIR
 ///   --help            usage
 ///
-/// Count values go through parse_count(), which bench_campaign_throughput's
-/// parser shares.
+/// Count values go through parse_count(), which the parsers of
+/// bench_campaign_throughput, bench_serving_latency and bench_kernels
+/// share.
 
 #include <charconv>
 #include <cstdio>

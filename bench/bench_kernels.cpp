@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_args.hpp"
 #include "core/particle_filter.hpp"
 #include "map/rasterize.hpp"
 #include "platform/gap9_power.hpp"
@@ -63,6 +64,10 @@ Args parse(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto count = [&] {
+      const char* flag = argv[i];
+      return bench::parse_count(flag, value());
+    };
     if (is("--help") || is("-h")) {
       std::printf(
           "bench_kernels — observation-sweep throughput per kernel backend\n"
@@ -74,9 +79,9 @@ Args parse(int argc, char** argv) {
           "  --help          this message\n");
       std::exit(0);
     } else if (is("--particles")) {
-      args.particles = static_cast<std::size_t>(std::atoi(value()));
+      args.particles = count();
     } else if (is("--beams")) {
-      args.beams = static_cast<std::size_t>(std::atoi(value()));
+      args.beams = count();
     } else if (is("--min-seconds")) {
       args.min_seconds = std::atof(value());
     } else if (is("--smoke")) {

@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_args.hpp"
 #include "eval/campaign.hpp"
 #include "serve/session_manager.hpp"
 
@@ -67,6 +68,10 @@ Args parse(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto count = [&] {
+      const char* flag = argv[i];
+      return bench::parse_count(flag, value());
+    };
     if (is("--help") || is("-h")) {
       std::printf(
           "bench_serving_latency — multi-session serving latency/throughput\n"
@@ -94,25 +99,25 @@ Args parse(int argc, char** argv) {
           "                 diffs two invocations cross-process)\n");
       std::exit(0);
     } else if (is("--sessions")) {
-      args.sessions = static_cast<std::size_t>(std::atoi(value()));
+      args.sessions = count();
     } else if (is("--threads")) {
-      args.threads = static_cast<std::size_t>(std::atoi(value()));
+      args.threads = count();
     } else if (is("--shards")) {
-      args.shards = static_cast<std::size_t>(std::atoi(value()));
+      args.shards = count();
     } else if (is("--pump-batch")) {
-      args.pump_batch = static_cast<std::size_t>(std::atoi(value()));
+      args.pump_batch = count();
     } else if (is("--particles")) {
-      args.particles = static_cast<std::size_t>(std::atoi(value()));
+      args.particles = count();
     } else if (is("--min-particles")) {
-      args.min_particles = static_cast<std::size_t>(std::atoi(value()));
+      args.min_particles = count();
     } else if (is("--adaptive")) {
       args.adaptive = true;
     } else if (is("--evict-idle")) {
-      args.evict_idle = static_cast<std::size_t>(std::atoi(value()));
+      args.evict_idle = count();
     } else if (is("--ticks")) {
-      args.ticks = static_cast<std::size_t>(std::atoi(value()));
+      args.ticks = count();
     } else if (is("--queue")) {
-      args.queue = static_cast<std::size_t>(std::atoi(value()));
+      args.queue = count();
     } else if (is("--overload")) {
       args.overload = true;
     } else if (is("--smoke")) {
