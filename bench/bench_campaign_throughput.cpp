@@ -6,7 +6,8 @@
 //
 //   serial  — CampaignOptions::threads = 1: one run at a time on the
 //             calling thread (the reference schedule)
-//   batched — threads = --threads: each run a ThreadPool task
+//   batched — threads = --threads: each run one task of a fork-join
+//             (ThreadPool::parallel_for)
 //
 // and reports runs/sec plus observation-phase particle·beam ops/sec for
 // both, the speedup, and verifies the two results are BIT-IDENTICAL (the

@@ -6,8 +6,9 @@
 // sources, then opens N serve::SessionManager sessions sharing ONE
 // immutable MapResources per world. Every session replays its source's
 // frame stream through the bounded admission-controlled queue; the pump
-// multiplexes all sessions over the thread pool with one task per busy
-// session. Reported: p50/p99/p999 per-correction latency (per map and
+// multiplexes all sessions over the thread pool with one task per
+// map-affine batch of --pump-batch busy sessions. Reported:
+// p50/p99/p999 per-correction latency (per map and
 // global), corrections/s, processed/dropped inputs — optionally written
 // as BENCH_serving.json (the checked-in serving baseline artifact).
 //

@@ -1,23 +1,18 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
-#include <utility>
-
-#include "common/error.hpp"
+#include <exception>
 
 namespace tofmcl {
 
-namespace {
-
-/// Pools whose GENERAL tasks are executing on this thread's stack, one
-/// entry per nesting level (helping waits can stack several). Lets
-/// wait_idle exclude the caller's own in-flight tasks without any
-/// per-pool thread registry.
-thread_local std::vector<const void*> t_executing_pools;
-
-}  // namespace
+struct ThreadPool::Call {
+  const std::function<void(std::size_t, std::size_t, std::size_t)>& fn;
+  std::size_t count;
+  std::size_t chunks;
+  std::size_t unfinished;     ///< Guarded by mutex_.
+  std::exception_ptr error;   ///< First chunk failure; guarded by mutex_.
+  bool caller_waits = false;  ///< Caller slept on cv_; guarded by mutex_.
+};
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) {
@@ -34,173 +29,39 @@ ThreadPool::~ThreadPool() {
     std::lock_guard lock(mutex_);
     stop_ = true;
   }
-  cv_task_.notify_all();
+  cv_.notify_all();
   for (auto& w : workers_) w.join();
-}
-
-std::size_t ThreadPool::own_stack_depth() const {
-  return static_cast<std::size_t>(std::count(
-      t_executing_pools.begin(), t_executing_pools.end(), this));
-}
-
-void ThreadPool::enqueue_general(std::function<void()> task,
-                                 TaskGroup* group) {
-  {
-    std::lock_guard lock(mutex_);
-    queue_.push_back(Task{std::move(task), group});
-    ++general_in_flight_;
-    if (group != nullptr) {
-      ++group->pending_;
-      ++group->queued_;
-    }
-  }
-  cv_task_.notify_one();
-  // Helping waiters sleep on cv_idle_ and must wake to steal new work —
-  // with every worker blocked inside a nested wait, they are the only
-  // threads left that can run this task.
-  cv_idle_.notify_all();
-}
-
-void ThreadPool::enqueue_chunk(std::function<void()> task) {
-  {
-    std::lock_guard lock(mutex_);
-    chunk_queue_.push(std::move(task));
-  }
-  cv_task_.notify_one();
-  cv_idle_.notify_all();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  TOFMCL_EXPECTS(static_cast<bool>(task), "cannot submit empty task");
-  enqueue_general(std::move(task), nullptr);
-}
-
-void ThreadPool::submit(std::function<void()> task, TaskGroup& group) {
-  TOFMCL_EXPECTS(static_cast<bool>(task), "cannot submit empty task");
-  enqueue_general(std::move(task), &group);
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mutex_);
-  // Tasks executing on THIS stack can never complete while we block here;
-  // waiting for them would deadlock (the pre-serving bug: a stolen task
-  // calling wait_idle hung on its own in-flight slot). Everyone else's
-  // tasks either run elsewhere or sit in a queue where we can help.
-  const std::size_t own = own_stack_depth();
-  while (general_in_flight_ != own) {
-    if (!run_one(lock, /*chunk_only=*/false)) {
-      cv_idle_.wait(lock, [&] {
-        return general_in_flight_ == own || !queue_.empty() ||
-               !chunk_queue_.empty();
-      });
-    }
-  }
-  if (first_error_) {
-    std::exception_ptr error = std::exchange(first_error_, nullptr);
-    lock.unlock();
-    std::rethrow_exception(error);
-  }
-}
-
-void ThreadPool::wait(TaskGroup& group) {
-  std::unique_lock lock(mutex_);
-  while (group.pending_ != 0) {
-    if (!run_one_of_group(lock, group)) {
-      cv_idle_.wait(lock, [&] {
-        return group.pending_ == 0 || group.queued_ != 0 ||
-               !chunk_queue_.empty();
-      });
-    }
-  }
-  if (group.first_error_) {
-    std::exception_ptr error = std::exchange(group.first_error_, nullptr);
-    lock.unlock();
-    std::rethrow_exception(error);
-  }
-}
-
-void ThreadPool::execute_general(std::unique_lock<std::mutex>& lock,
-                                 Task task) {
-  lock.unlock();
-  t_executing_pools.push_back(this);
-  std::exception_ptr error;
-  try {
-    task.fn();
-  } catch (...) {
-    error = std::current_exception();
-  }
-  t_executing_pools.pop_back();
-  lock.lock();
-  --general_in_flight_;
-  if (task.group != nullptr) {
-    --task.group->pending_;
-    if (error && !task.group->first_error_) task.group->first_error_ = error;
-  } else if (error && !first_error_) {
-    first_error_ = error;
-  }
-  cv_idle_.notify_all();
-}
-
-bool ThreadPool::run_one(std::unique_lock<std::mutex>& lock,
-                         bool chunk_only) {
-  if (!chunk_queue_.empty()) {
-    std::function<void()> task = std::move(chunk_queue_.front());
-    chunk_queue_.pop();
-    lock.unlock();
-    // Chunk closures capture failures into their own call state; this
-    // catch is defense in depth only.
-    try {
-      task();
-    } catch (...) {
-      lock.lock();
-      if (!first_error_) first_error_ = std::current_exception();
-      return true;
-    }
-    lock.lock();
-    return true;
-  }
-  if (chunk_only || queue_.empty()) return false;
-  Task task = std::move(queue_.front());
-  queue_.pop_front();
-  if (task.group != nullptr) --task.group->queued_;
-  execute_general(lock, std::move(task));
-  return true;
-}
-
-bool ThreadPool::run_one_of_group(std::unique_lock<std::mutex>& lock,
-                                  TaskGroup& group) {
-  // Chunk tasks first, like run_one: they are fine-grained and bounded,
-  // and a stalled chunk barrier would stall this group's tasks too.
-  if (!chunk_queue_.empty()) return run_one(lock, /*chunk_only=*/true);
-  if (group.queued_ == 0) return false;
-  const auto it =
-      std::find_if(queue_.begin(), queue_.end(),
-                   [&group](const Task& t) { return t.group == &group; });
-  TOFMCL_ENSURES(it != queue_.end(), "group queued count out of sync");
-  Task task = std::move(*it);
-  queue_.erase(it);
-  --group.queued_;
-  execute_general(lock, std::move(task));
-  return true;
 }
 
 void ThreadPool::worker_loop() {
   std::unique_lock lock(mutex_);
   for (;;) {
-    cv_task_.wait(lock, [this] {
-      return stop_ || !chunk_queue_.empty() || !queue_.empty();
-    });
-    if (stop_ && chunk_queue_.empty() && queue_.empty()) return;
-    run_one(lock, /*chunk_only=*/false);
+    cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+    // Every call waits for its own chunks, so a stopping pool has an
+    // empty queue.
+    if (queue_.empty()) return;
+    const Chunk chunk = queue_.front();
+    queue_.pop();
+    run(lock, chunk);
   }
 }
 
-void ThreadPool::parallel_for(std::size_t count,
-                              const std::function<void(std::size_t)>& fn) {
-  parallel_chunks(count, size() + 1,
-                  [&fn](std::size_t, std::size_t begin, std::size_t end) {
-                    for (std::size_t i = begin; i < end; ++i) fn(i);
-                  });
+void ThreadPool::run(std::unique_lock<std::mutex>& lock, Chunk chunk) {
+  Call& call = *chunk.call;
+  lock.unlock();
+  std::exception_ptr error;
+  try {
+    call.fn(chunk.index, chunk_begin(call.count, call.chunks, chunk.index),
+            chunk_begin(call.count, call.chunks, chunk.index + 1));
+  } catch (...) {
+    error = std::current_exception();
+  }
+  lock.lock();
+  if (error && !call.error) call.error = error;
+  // Once the count reaches zero and the lock is released, the caller may
+  // return and `call` is gone. A caller that never slept needs no wake-up,
+  // and skipping it spares the idle workers that share cv_.
+  if (--call.unfinished == 0 && call.caller_waits) cv_.notify_all();
 }
 
 void ThreadPool::parallel_chunks(
@@ -208,65 +69,39 @@ void ThreadPool::parallel_chunks(
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
   if (count == 0) return;
   chunks = std::clamp<std::size_t>(chunks, 1, count);
+  Call call{fn, count, chunks, chunks, nullptr};
 
-  // Per-call completion state. Chunk failures are captured here (not in
-  // first_error_) so the exception surfaces on THIS caller, not on some
-  // unrelated wait_idle().
-  struct CallState {
-    std::atomic<std::size_t> remaining{0};
-    std::exception_ptr error;  // guarded by the pool mutex
-  };
-  auto state = std::make_shared<CallState>();
-  state->remaining.store(chunks - 1, std::memory_order_relaxed);
-
-  for (std::size_t c = 1; c < chunks; ++c) {
-    enqueue_chunk([this, state, &fn, c, count, chunks] {
-      try {
-        fn(c, chunk_begin(count, chunks, c),
-           chunk_begin(count, chunks, c + 1));
-      } catch (...) {
-        std::lock_guard lock(mutex_);
-        if (!state->error) state->error = std::current_exception();
-      }
-      // Decrement under the pool mutex: the waiter below re-checks
-      // `remaining` under the same mutex before sleeping, so the
-      // final notify can never be lost.
-      bool last = false;
-      {
-        std::lock_guard lock(mutex_);
-        last = state->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1;
-      }
-      if (last) cv_task_.notify_all();
-    });
-  }
-
-  // The calling thread runs chunk 0 ...
-  std::exception_ptr local_error;
-  try {
-    fn(0, chunk_begin(count, chunks, 0), chunk_begin(count, chunks, 1));
-  } catch (...) {
-    local_error = std::current_exception();
-  }
-
-  // ... then helps drain the CHUNK queue until its own chunks are done.
-  // Helping (instead of plain blocking) is what makes nested fork-join
-  // safe: a pool task may itself call parallel_chunks without
-  // deadlocking even when every worker is busy — its chunks are either
-  // running or in chunk_queue_, where the waiter can execute them
-  // itself. General tasks are never stolen here: a chunk barrier must
-  // not stall behind (or recurse into) an unrelated long-running task.
   std::unique_lock lock(mutex_);
-  while (state->remaining.load(std::memory_order_acquire) != 0) {
-    if (!run_one(lock, /*chunk_only=*/true)) {
-      cv_task_.wait(lock, [&] {
-        return state->remaining.load(std::memory_order_acquire) == 0 ||
-               !chunk_queue_.empty();
-      });
-    }
+  for (std::size_t c = 1; c < chunks; ++c) queue_.push({&call, c});
+  if (chunks > workers_.size()) {
+    cv_.notify_all();
+  } else {
+    for (std::size_t c = 1; c < chunks; ++c) cv_.notify_one();
   }
-  std::exception_ptr error = local_error ? local_error : state->error;
+
+  // The caller runs chunk 0, then any queued chunk, until its own call
+  // has finished.
+  run(lock, {&call, 0});
+  while (call.unfinished != 0) {
+    if (queue_.empty()) {
+      call.caller_waits = true;
+      cv_.wait(lock, [&call, this] {
+        return call.unfinished == 0 || !queue_.empty();
+      });
+      continue;
+    }
+    const Chunk next = queue_.front();
+    queue_.pop();
+    run(lock, next);
+  }
   lock.unlock();
-  if (error) std::rethrow_exception(error);
+  if (call.error) std::rethrow_exception(call.error);
+}
+
+void ThreadPool::parallel_for(std::size_t count,
+                              const std::function<void(std::size_t)>& fn) {
+  parallel_chunks(count, count,
+                  [&fn](std::size_t i, std::size_t, std::size_t) { fn(i); });
 }
 
 }  // namespace tofmcl

@@ -1,46 +1,30 @@
 #pragma once
 /// \file thread_pool.hpp
-/// \brief Small fixed-size thread pool with blocking fork-join primitives.
+/// \brief Fixed-size thread pool with one blocking fork-join call.
 ///
-/// Used by the evaluation harness to spread independent localization runs
-/// across host cores, by the ThreadPoolExecutor to emulate the GAP9
-/// cluster's fork-join execution style on the host, and by the serving
-/// layer (src/serve) to multiplex live localizer sessions.
+/// `parallel_chunks` is the host form of the paper's only parallel
+/// construct: the particle array split into static contiguous chunks, one
+/// per GAP9 cluster core, and joined before the next phase (Fig 4). It is
+/// the pool's one way to run work. ThreadPoolExecutor::for_chunks calls it
+/// for the filter's phases; the campaign's run and dataset fan-out and the
+/// serving pump's map-affine batches call `parallel_for`, the same call
+/// with one chunk per index.
 ///
-/// Three properties matter for the engines built on top:
+/// The contract of the call:
 ///
-///  * Exceptions do not kill the process. A throwing task is captured and
-///    rethrown on the thread that observes completion: `parallel_chunks`
-///    rethrows the first failure of its own chunks before returning,
-///    `wait(TaskGroup&)` rethrows the first failure of the group, and
-///    `wait_idle` rethrows the first failure of plainly `submit`ted tasks.
-///    The worker keeps running and the in-flight accounting stays balanced
-///    either way.
-///
-///  * `parallel_chunks` may be called from INSIDE a pool task (nested
-///    fork-join). Chunk tasks live in a dedicated queue; while waiting
-///    for its chunks the calling thread helps drain THAT queue (never the
-///    general one), so run-level tasks and filter-level chunk tasks can
-///    share one pool without deadlock, and a fine-grained chunk barrier
-///    can never stall behind — or recurse into — a stolen long-running
-///    general task.
-///
-///  * Waits are category-separated so nested waiting cannot self-deadlock.
-///    General tasks and chunk tasks are accounted independently:
-///    `wait_idle` tracks GENERAL tasks only and excludes tasks executing
-///    on the caller's own stack, so a stolen task (or a chunk of a
-///    `parallel_chunks` call) that itself blocks on `wait_idle()` no
-///    longer hangs forever waiting for its own in-flight slot to clear —
-///    the serving-workload shape that used to deadlock (see
-///    test_thread_pool.cpp WaitIdleInsideChunkTaskDoesNotDeadlock).
-///    For batch-scoped waits, `TaskGroup` is the safe primitive: the
-///    waiter helps drain the queues, so a pool task may submit subtasks
-///    and wait for just those even when every worker is busy.
+///  * The caller works while it waits. It runs chunk 0, then runs queued
+///    chunks until every chunk of its own call has finished, and sleeps
+///    only when the queue is empty. A pool of N workers computes with N + 1
+///    threads, and a call made from inside a chunk helps instead of
+///    blocking, so nesting cannot deadlock.
+///  * Exceptions do not kill the process. A throwing chunk is captured, the
+///    other chunks still run, and the first exception is rethrown on the
+///    caller after every chunk of the call has finished.
+///  * No work outlives its call: there is no detached task and nothing to
+///    wait on but the call's own chunks.
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -51,25 +35,6 @@ namespace tofmcl {
 
 class ThreadPool {
  public:
-  /// A batch of submitted tasks that can be waited on as a unit. Unlike
-  /// `wait_idle`, waiting on a group is safe from INSIDE a pool task: the
-  /// waiter helps execute queued work while the group drains, so one busy
-  /// pool cannot deadlock on its own nested waits (and one slow session
-  /// batch cannot starve an unrelated waiter — it only ever occupies its
-  /// own tasks' workers). A group may be reused after wait() returns.
-  class TaskGroup {
-   public:
-    TaskGroup() = default;
-    TaskGroup(const TaskGroup&) = delete;
-    TaskGroup& operator=(const TaskGroup&) = delete;
-
-   private:
-    friend class ThreadPool;
-    std::size_t pending_ = 0;          ///< Queued + executing. Pool mutex.
-    std::size_t queued_ = 0;           ///< Still in the queue. Pool mutex.
-    std::exception_ptr first_error_;   ///< Guarded by the pool mutex.
-  };
-
   /// Creates `num_threads` workers; 0 selects hardware_concurrency (min 1).
   explicit ThreadPool(std::size_t num_threads = 0);
   ~ThreadPool();
@@ -79,97 +44,38 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  /// Enqueue a task; returns immediately. If the task throws, the first
-  /// such exception is captured and rethrown by the next wait_idle() call;
-  /// the worker thread survives and later tasks still run.
-  void submit(std::function<void()> task);
-
-  /// Enqueue a task tracked by `group`; its completion is observed by
-  /// wait(group), and a throw is captured into the group (rethrown by the
-  /// next wait on it), not into the pool-wide error slot. The group must
-  /// outlive the task.
-  void submit(std::function<void()> task, TaskGroup& group);
-
-  /// Block until every task submitted to `group` has finished. The waiter
-  /// helps, but its helping is BOUNDED to the group's own tasks (plus
-  /// chunk tasks, whose lifetime their parallel_chunks caller owns): it
-  /// never steals an unrelated long-running general task, so a group wait
-  /// can neither stall behind another group's slow session nor deadlock
-  /// on a stolen task that depends on the waiter. Safe to call from
-  /// inside a pool task. Rethrows the first exception captured from the
-  /// group's tasks.
-  void wait(TaskGroup& group);
-
-  /// Block until every GENERAL submitted task has finished — except tasks
-  /// currently executing on the calling thread's own stack, so a pool
-  /// task calling wait_idle() waits for everyone else instead of
-  /// deadlocking on itself. The waiter helps drain the queues. Chunk
-  /// tasks are NOT tracked here; their completion is awaited by their own
-  /// parallel_chunks caller. Rethrows the first exception captured from a
-  /// plainly submitted task since the last wait_idle(). Two tasks that
-  /// wait_idle() on each other still deadlock — use TaskGroup for
-  /// batch-scoped waits.
-  void wait_idle();
-
-  /// Run fn(i) for i in [0, count), partitioned into contiguous chunks and
-  /// executed on the pool (the calling thread also participates). Blocks
-  /// until all iterations complete.
-  void parallel_for(std::size_t count,
-                    const std::function<void(std::size_t)>& fn);
-
   /// Run fn(chunk_index, begin, end) over `chunks` contiguous ranges of
-  /// [0, count), matching the static particle partitioning the paper uses
-  /// on the GAP9 cluster. Blocks until done; while blocked, the calling
-  /// thread executes other queued chunk tasks (safe to call from inside a
-  /// pool task). Rethrows the first exception thrown by any chunk, after
-  /// all chunks have completed.
+  /// [0, count) (clamped to [1, count]), matching the static particle
+  /// partitioning the paper uses on the GAP9 cluster. Blocks until every
+  /// chunk has finished; rethrows the first exception a chunk threw.
   void parallel_chunks(
       std::size_t count, std::size_t chunks,
       const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
 
+  /// parallel_chunks with one chunk per index: fn(i) for every i in
+  /// [0, count), each call its own task.
+  void parallel_for(std::size_t count,
+                    const std::function<void(std::size_t)>& fn);
+
  private:
-  /// A general-queue entry; chunk tasks carry their completion state in
-  /// their closure instead.
-  struct Task {
-    std::function<void()> fn;
-    TaskGroup* group = nullptr;  ///< Null for plain submit().
+  /// One parallel_chunks call; lives on its caller's stack.
+  struct Call;
+  struct Chunk {
+    Call* call;
+    std::size_t index;
   };
 
   void worker_loop();
-  void enqueue_general(std::function<void()> task, TaskGroup* group);
-  void enqueue_chunk(std::function<void()> task);
-  /// Pops and runs one queued task — chunk tasks first; general tasks
-  /// only when `chunk_only` is false. `lock` must hold mutex_ on entry
-  /// and holds it again on return. Returns false if nothing was eligible.
-  bool run_one(std::unique_lock<std::mutex>& lock, bool chunk_only);
-  /// Bounded-helping variant for wait(group): runs one chunk task or one
-  /// queued task BELONGING TO `group` (found by scan; the group's tasks
-  /// cluster at the front in the serving pump pattern). Never touches
-  /// unrelated general tasks.
-  bool run_one_of_group(std::unique_lock<std::mutex>& lock, TaskGroup& group);
-  /// Executes `task` outside the lock with general-task bookkeeping
-  /// (own-stack marker, error routing, completion notify).
-  void execute_general(std::unique_lock<std::mutex>& lock, Task task);
-  /// General tasks currently executing on THIS thread's stack for THIS
-  /// pool (nested helping can stack several).
-  std::size_t own_stack_depth() const;
+  /// Runs `chunk` with `lock` released, then records its completion.
+  /// `lock` holds mutex_ on entry and on return.
+  void run(std::unique_lock<std::mutex>& lock, Chunk chunk);
 
-  std::vector<std::thread> workers_;
-  std::deque<Task> queue_;                         ///< General tasks.
-  std::queue<std::function<void()>> chunk_queue_;  ///< parallel_chunks work.
   std::mutex mutex_;
-  std::condition_variable cv_task_;
-  std::condition_variable cv_idle_;
-  /// In-flight GENERAL tasks (queued or executing). Chunk tasks are
-  /// deliberately excluded: their lifetime is owned by the
-  /// parallel_chunks call that spawned them, so wait_idle can never
-  /// deadlock on a chunk that is itself waiting.
-  std::size_t general_in_flight_ = 0;
+  std::queue<Chunk> queue_;  ///< Chunks no thread has started yet.
   bool stop_ = false;
-  /// First exception thrown by a plain submit() task (group and
-  /// parallel_chunks failures are tracked per group / per call, not
-  /// here). Guarded by mutex_.
-  std::exception_ptr first_error_;
+  /// Signals a queued chunk, a finished call, or shutdown.
+  std::condition_variable cv_;
+  std::vector<std::thread> workers_;  ///< Last: the threads use the above.
 };
 
 /// Split [0, count) into `chunks` nearly-equal contiguous ranges; chunk i

@@ -15,8 +15,7 @@ void SerialExecutor::for_chunks(std::size_t count, std::size_t chunks,
 
 void ThreadPoolExecutor::for_chunks(std::size_t count, std::size_t chunks,
                                     const ChunkFn& fn) {
-  if (count == 0) return;
-  pool_.parallel_chunks(count, std::clamp<std::size_t>(chunks, 1, count), fn);
+  pool_.parallel_chunks(count, chunks, fn);
 }
 
 }  // namespace tofmcl::core

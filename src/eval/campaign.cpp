@@ -27,9 +27,11 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 /// Calls task(i) for every i in [0, count). With `threads == 1`, or a
 /// single task, the calls run in order on the calling thread (the
-/// reference schedule); otherwise each is a task on a ThreadPool(threads)
-/// (0 = hardware concurrency). The campaign's one serial-vs-pool
-/// decision, for dataset generation and run execution alike.
+/// reference schedule); otherwise one fork-join (`parallel_for`) on a
+/// ThreadPool(threads) (0 = hardware concurrency) makes each call its own
+/// task, and the calling thread runs tasks too. The campaign's one
+/// serial-vs-pool decision, for dataset generation and run execution
+/// alike.
 template <typename Task>
 void for_each_task(std::size_t count, std::size_t threads, const Task& task) {
   if (threads == 1 || count < 2) {
@@ -37,10 +39,7 @@ void for_each_task(std::size_t count, std::size_t threads, const Task& task) {
     return;
   }
   ThreadPool pool(threads);
-  for (std::size_t i = 0; i < count; ++i) {
-    pool.submit([&task, i] { task(i); });
-  }
-  pool.wait_idle();
+  pool.parallel_for(count, task);
 }
 
 /// Builds the environment + flight-plan table for one world identity.

@@ -210,9 +210,9 @@ struct CampaignResult {
 /// results are bit-identical for every value.
 struct CampaignOptions {
   /// 1 runs one run at a time on the calling thread: the reference
-  /// schedule. Any other value submits each run to a ThreadPool of this
-  /// many workers (0 = hardware concurrency). Dataset generation follows
-  /// the same rule.
+  /// schedule. Any other value makes each run one task of a fork-join on
+  /// a ThreadPool of this many workers (0 = hardware concurrency).
+  /// Dataset generation follows the same rule.
   std::size_t threads = 0;
 };
 

@@ -6,11 +6,11 @@
 /// The serving split: producers (radio links, replay threads) call
 /// `push()` from any thread — it only touches the queue under its own
 /// mutex. The SessionManager's pump calls `process_pending()` with
-/// exactly one invocation in flight per session (the pool's TaskGroup
-/// guarantees it), which drains the queue into the Localizer. The
-/// Localizer itself stays single-threaded-by-contract; the session IS
-/// the serialization the contract demands, and the Localizer's
-/// SerialGuard asserts it.
+/// exactly one invocation in flight per session (each busy session sits
+/// in exactly one batch of one pump), which drains the queue into the
+/// Localizer. The Localizer itself stays single-threaded-by-contract;
+/// the session IS the serialization the contract demands, and the
+/// Localizer's SerialGuard asserts it.
 ///
 /// Admission control is drop-oldest: a full queue evicts its oldest
 /// input to admit the new one (a live localizer wants the freshest

@@ -150,45 +150,35 @@ std::size_t SessionManager::pump() {
     }
   }
 
+  // Map-affine batching: a shard's busy sessions are grouped by map key
+  // and drained `pump_batch` at a time by one task, so a run stays inside
+  // one map's EDT/LUT working set instead of hopping maps per session
+  // (and 100k sessions make thousands of tasks, not 100k).
+  std::vector<std::vector<Session*>> batches;
+  for (const auto& observed : plan) {
+    std::map<std::string_view, std::vector<Session*>> by_map;
+    for (const Observed& o : observed) {
+      if (o.busy) by_map[o.session->map_key()].push_back(o.session);
+    }
+    for (const auto& [key, sessions] : by_map) {
+      for (std::size_t base = 0; base < sessions.size();
+           base += opts_.pump_batch) {
+        const std::size_t end =
+            std::min(sessions.size(), base + opts_.pump_batch);
+        batches.emplace_back(sessions.begin() + base, sessions.begin() + end);
+      }
+    }
+  }
   std::atomic<std::size_t> total{0};
-  if (!pool_) {
-    for (const auto& observed : plan) {
-      for (const Observed& o : observed) {
-        if (o.busy) total += o.session->process_pending();
-      }
-    }
+  const auto drain = [&batches, &total](std::size_t b) {
+    std::size_t n = 0;
+    for (Session* session : batches[b]) n += session->process_pending();
+    total += n;
+  };
+  if (pool_) {
+    pool_->parallel_for(batches.size(), drain);
   } else {
-    ThreadPool::TaskGroup group;
-    for (const auto& observed : plan) {
-      // Map-affine batching: a shard's busy sessions are grouped by map
-      // key and drained `pump_batch` at a time by one task, so a worker
-      // run stays inside one map's EDT/LUT working set instead of
-      // hopping maps per session (and 100k sessions submit thousands of
-      // tasks, not 100k).
-      std::map<std::string_view, std::vector<Session*>> by_map;
-      for (const Observed& o : observed) {
-        if (o.busy) by_map[o.session->map_key()].push_back(o.session);
-      }
-      for (auto& [key, sessions] : by_map) {
-        for (std::size_t base = 0; base < sessions.size();
-             base += opts_.pump_batch) {
-          const std::size_t end =
-              std::min(sessions.size(), base + opts_.pump_batch);
-          std::vector<Session*> batch(sessions.begin() + base,
-                                      sessions.begin() + end);
-          pool_->submit(
-              [batch = std::move(batch), &total] {
-                std::size_t n = 0;
-                for (Session* session : batch) {
-                  n += session->process_pending();
-                }
-                total += n;
-              },
-              group);
-        }
-      }
-    }
-    pool_->wait(group);
+    for (std::size_t b = 0; b < batches.size(); ++b) drain(b);
   }
 
   // Epilogue, per shard: unpin, advance the idle clock.

@@ -30,14 +30,17 @@
 /// bit-identical traces (tests gate on this) and the pre-shard
 /// determinism contract carries over unchanged.
 ///
-/// PUMP BATCHING: instead of one pool task per busy session (task-queue
+/// PUMP BATCHING: instead of one task per busy session (task-queue
 /// pressure at 100k sessions), each pump groups a shard's busy sessions
-/// by map key and submits one task per `pump_batch` sessions of one map
-/// — per-map affinity keeps a worker run inside one map's EDT/LUT while
-/// it drains its batch. A busy slot is PINNED under its shard lock for
-/// the duration of the pump, so a concurrent evict_idle() can never
-/// destroy a Session whose process_pending() task is still in flight
-/// (the evict-during-pump use-after-free this layer used to have).
+/// by map key into batches of up to `pump_batch` sessions of one map —
+/// per-map affinity keeps a run inside one map's EDT/LUT while it drains
+/// its batch. With threads > 0 the batches are the tasks of one
+/// fork-join (ThreadPool::parallel_for, the caller working too); with
+/// threads == 0 the caller drains the same batches in order. A busy slot
+/// is PINNED under its shard lock for the duration of the pump, so a
+/// concurrent evict_idle() can never destroy a Session whose
+/// process_pending() task is still in flight (the evict-during-pump
+/// use-after-free this layer used to have).
 ///
 /// Eviction: a session idle for at least `min_idle_pumps` pump
 /// generations (idleness is counted in pumps, never wall clock) can be
@@ -74,7 +77,8 @@
 namespace tofmcl::serve {
 
 struct ServeOptions {
-  /// Worker threads for the pooled pump; 0 pumps serially on the caller.
+  /// Pool workers for the pump (the caller works too); 0 drains the
+  /// batches serially on the caller.
   std::size_t threads = 0;
   /// Independent slot shards (each with its own mutex, slot vector and
   /// idle clock); session id i lives in shard i % shards. Sharding never
@@ -82,7 +86,7 @@ struct ServeOptions {
   /// contention at high session counts.
   std::size_t shards = 1;
   /// Busy sessions drained per pump task (grouped per map within a
-  /// shard, so one worker run stays inside one map's EDT/LUT).
+  /// shard, so one run stays inside one map's EDT/LUT).
   std::size_t pump_batch = 16;
   /// Backing store for evicted-session snapshot blobs. Null builds a
   /// private InMemorySnapshotStore; pass a shared store to rebalance
@@ -172,10 +176,11 @@ class SessionManager {
   /// concurrently.
   Admission push(std::size_t session_id, SessionInput input);
 
-  /// Processes every session's backlog — serially in shard-major order
-  /// when threads == 0, else one pool task per map-affine batch of
-  /// `pump_batch` busy sessions. Not reentrant; one pump at a time
-  /// (pushes, evictions and reports may run concurrently with it).
+  /// Processes every session's backlog in map-affine batches of up to
+  /// `pump_batch` busy sessions: one pool task per batch when
+  /// threads > 0, else batch after batch on the caller. Not reentrant;
+  /// one pump at a time (pushes, evictions and reports may run
+  /// concurrently with it).
   /// Advances every live session's idle counter (0 when it had work this
   /// pump). Returns corrections run.
   std::size_t pump();

@@ -409,8 +409,8 @@ std::vector<Violation> check_detached_thread(const FileCtx& ctx) {
         is_ident(t, i + 1, "detach") && is_punct(t, i + 2, "(")) {
       out.push_back({"detached-thread", t[i + 1].line,
                      ".detach() orphans the thread past test/process "
-                     "teardown and races static destruction; submit to "
-                     "common::ThreadPool or join explicitly"});
+                     "teardown and races static destruction; fork-join "
+                     "on common::ThreadPool or join explicitly"});
     }
   }
   return out;
@@ -453,7 +453,7 @@ std::vector<Violation> check_sleep_sync(const FileCtx& ctx) {
                    "'" + tok.text +
                        "' in a test is sleep-as-synchronization — the "
                        "canonical flaky test; wait on a condition "
-                       "variable, future or TaskGroup instead"});
+                       "variable, future or thread join instead"});
   }
   return out;
 }

@@ -45,7 +45,7 @@
 ///   * sleep-sync        — sleep_for/sleep_until/usleep/nanosleep in
 ///                         tests/: sleeping as a synchronization primitive
 ///                         is the canonical flaky test; use condition
-///                         variables, futures or TaskGroup waits.
+///                         variables, futures or thread joins.
 ///
 ///  map invariants
 ///   * solid-interior    — <env>.world.add_rectangle(...) outside the
