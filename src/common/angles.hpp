@@ -21,6 +21,10 @@ constexpr double rad_to_deg(double rad) { return rad * 180.0 / kPi; }
 
 /// Wrap an angle to (-π, π].
 inline double wrap_pi(double angle) {
+  // std::remainder(x, 2π) is exact and returns x itself for every x in
+  // (-π, π] (a tie at +π rounds the quotient to the even 0), so an angle
+  // already in range skips the call bit for bit.
+  if (angle > -kPi && angle <= kPi) return angle;
   angle = std::remainder(angle, kTwoPi);
   // std::remainder yields [-π, π]; map the open end -π to +π.
   if (angle <= -kPi) angle += kTwoPi;

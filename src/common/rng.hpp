@@ -9,10 +9,13 @@
 /// quality, trivially portable), seeded through SplitMix64 as recommended by
 /// its authors.
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 
 namespace tofmcl {
 
@@ -108,6 +111,43 @@ class Rng {
     return mean + stddev * gaussian();
   }
 
+  /// Fills `out` with exactly what out.size() successive gaussian() calls
+  /// return, and leaves the generator in the state they would, cached
+  /// spare deviate included: a pending spare is emitted first, and the
+  /// unused half of the last pair is cached. gaussian() is the reference.
+  /// Polar candidates are drawn a block at a time with a branch-free
+  /// accept (a rejected candidate is overwritten in place), and the
+  /// block's log calls run back to back, so their latencies overlap.
+  void gaussians(std::span<double> out) {
+    std::size_t k = 0;
+    if (has_cached_ && !out.empty()) {
+      out[k++] = cached_;
+      has_cached_ = false;
+    }
+    std::array<double, kPairBlock> u{}, v{}, s{}, log_s{};
+    while (k < out.size()) {
+      const std::size_t pairs =
+          std::min(kPairBlock, (out.size() - k + 1) / 2);
+      for (std::size_t m = 0; m < pairs;) {
+        u[m] = uniform(-1.0, 1.0);
+        v[m] = uniform(-1.0, 1.0);
+        s[m] = u[m] * u[m] + v[m] * v[m];
+        m += static_cast<std::size_t>((s[m] < 1.0) & (s[m] != 0.0));
+      }
+      for (std::size_t m = 0; m < pairs; ++m) log_s[m] = std::log(s[m]);
+      for (std::size_t m = 0; m < pairs; ++m) {
+        const double factor = std::sqrt(-2.0 * log_s[m] / s[m]);
+        out[k++] = u[m] * factor;
+        cached_ = v[m] * factor;
+        if (k < out.size()) {
+          out[k++] = cached_;
+        } else {
+          has_cached_ = true;
+        }
+      }
+    }
+  }
+
   /// Returns true with probability p (clamped to [0, 1]).
   bool bernoulli(double p) { return uniform() < p; }
 
@@ -133,6 +173,9 @@ class Rng {
   }
 
  private:
+  /// Polar pairs per gaussians() block: 64 deviates.
+  static constexpr std::size_t kPairBlock = 32;
+
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }

@@ -110,66 +110,41 @@ bool Localizer::gate_passed(const Pose2& delta) const {
          std::abs(delta.yaw) >= config_.mcl.gate_dtheta;
 }
 
+const sensor::TofSensorConfig* Localizer::frame_sensor(
+    const sensor::TofFrame& frame) const {
+  const auto it = std::find_if(
+      config_.sensors.begin(), config_.sensors.end(),
+      [&](const sensor::TofSensorConfig& s) {
+        return s.sensor_id == frame.sensor_id;
+      });
+  const auto zones_expected = static_cast<std::size_t>(frame.side()) *
+                              static_cast<std::size_t>(frame.side());
+  if (it == config_.sensors.end() || frame.mode != it->mode ||
+      frame.zones.size() != zones_expected) {
+    return nullptr;
+  }
+  return &*it;
+}
+
 bool Localizer::on_frames(std::span<const sensor::TofFrame> frames) {
   SerialGuard::Scope serial(serial_guard_);
   if (!current_odom_ || !last_motion_odom_) return false;
   const auto t0 = std::chrono::steady_clock::now();
 
+  // Malformed frames are dropped, not fatal: an unconfigured sensor id,
+  // a mode differing from the configured sensor, or a zone payload that
+  // does not match the advertised mode. The rest of the batch (and the
+  // flight loop) continues. They are counted whether or not the
+  // correction runs.
   std::size_t usable = 0;
-  std::vector<sensor::Beam> beams;
   for (const sensor::TofFrame& frame : frames) {
-    const auto it = std::find_if(
-        config_.sensors.begin(), config_.sensors.end(),
-        [&](const sensor::TofSensorConfig& s) {
-          return s.sensor_id == frame.sensor_id;
-        });
-    // Malformed frames are dropped, not fatal: an unconfigured sensor id,
-    // a mode differing from the configured sensor, or a zone payload that
-    // does not match the advertised mode. The rest of the batch (and the
-    // flight loop) continues.
-    const auto zones_expected =
-        static_cast<std::size_t>(frame.side()) *
-        static_cast<std::size_t>(frame.side());
-    if (it == config_.sensors.end() || frame.mode != it->mode ||
-        frame.zones.size() != zones_expected) {
+    if (frame_sensor(frame) != nullptr) {
+      ++usable;
+    } else {
       ++dropped_frames_;
-      continue;
     }
-    ++usable;
-    const auto frame_beams =
-        sensor::extract_beams(frame, *it, config_.extraction);
-    beams.insert(beams.end(), frame_beams.begin(), frame_beams.end());
   }
 
-  // A batch whose every frame was malformed must not consume the
-  // correction gate: sample the motion model (odometry accrued) but keep
-  // the gate armed so the next VALID frame still gets its correction. A
-  // usable frame with zero extractable beams still steps the full filter
-  // — that is real (if uninformative) sensor data, unchanged semantics.
-  if (!frames.empty() && usable == 0) {
-    step_motion_only();
-    return false;
-  }
-  const bool corrected = step_filter(beams);
-  if (corrected) record_correction_time(t0);
-  return corrected;
-}
-
-void Localizer::record_correction_time(
-    std::chrono::steady_clock::time_point t0) {
-  last_correction_s_ =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  total_correction_s_ += last_correction_s_;
-}
-
-void Localizer::step_motion_only() {
-  const Pose2 motion_delta = last_motion_odom_->between(*current_odom_);
-  last_motion_odom_ = current_odom_;
-  std::visit([&](auto& pf) { pf.motion_update(motion_delta); }, filter_);
-}
-
-bool Localizer::step_filter(std::span<const sensor::Beam> beams) {
   // Motion phase on every tick: sample the proposal with the odometry
   // accrued since the last motion update. The σ_odom noise injected here
   // at the frame rate is what maintains particle diversity.
@@ -177,14 +152,27 @@ bool Localizer::step_filter(std::span<const sensor::Beam> beams) {
   last_motion_odom_ = current_odom_;
 
   // Correction phases only after enough motion (paper's dxy/dθ gate). The
-  // gate depends on odometry alone, so it is decided first: a gated-out
-  // tick runs the lone motion phase, a correction runs the fused
-  // motion+observation pass (one sweep over the particle state).
-  const Pose2 gate_delta = gate_odom_->between(*current_odom_);
-  if (!gate_passed(gate_delta)) {
+  // gate depends on odometry alone, so it is decided before any beam is
+  // extracted: a gated-out tick runs the lone motion phase. A batch whose
+  // every frame was malformed must not consume the gate either, so the
+  // next VALID frame still gets its correction. A usable frame with zero
+  // extractable beams still steps the full filter — that is real (if
+  // uninformative) sensor data.
+  const bool all_malformed = !frames.empty() && usable == 0;
+  if (all_malformed || !gate_passed(gate_odom_->between(*current_odom_))) {
     std::visit([&](auto& pf) { pf.motion_update(motion_delta); }, filter_);
     return false;
   }
+
+  std::vector<sensor::Beam> beams;
+  for (const sensor::TofFrame& frame : frames) {
+    if (const sensor::TofSensorConfig* s = frame_sensor(frame)) {
+      const auto frame_beams =
+          sensor::extract_beams(frame, *s, config_.extraction);
+      beams.insert(beams.end(), frame_beams.begin(), frame_beams.end());
+    }
+  }
+  // The fused motion+observation pass: one sweep over the particle state.
   std::visit(
       [&](auto& pf) {
         pf.motion_observation_update(motion_delta, beams);
@@ -196,7 +184,16 @@ bool Localizer::step_filter(std::span<const sensor::Beam> beams) {
       filter_);
   gate_odom_ = current_odom_;
   ++updates_run_;
+  record_correction_time(t0);
   return true;
+}
+
+void Localizer::record_correction_time(
+    std::chrono::steady_clock::time_point t0) {
+  last_correction_s_ =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  total_correction_s_ += last_correction_s_;
 }
 
 const PoseEstimate& Localizer::estimate() const {

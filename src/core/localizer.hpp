@@ -82,13 +82,16 @@ class Localizer {
   /// "the motion model is sampled when odometry is available"), while the
   /// observation + resampling + pose phases run only once the drone has
   /// moved dxy or rotated dθ since the last correction. Returns true when
-  /// the correction ran.
+  /// the correction ran. The gate depends on odometry alone and is decided
+  /// first: frames are turned into beams only when the correction runs,
+  /// so a gated-out call costs the motion phase and the frame checks.
   ///
   /// Malformed frames — an unconfigured sensor_id, a zone-mode mismatch
   /// with the configured sensor, or a zone count inconsistent with the
-  /// mode — are skipped and counted in dropped_frames() instead of
-  /// aborting the flight loop: one corrupt radio packet must not ground
-  /// the drone.
+  /// mode — are skipped and counted in dropped_frames() on every call,
+  /// corrected or not, instead of aborting the flight loop: one corrupt
+  /// radio packet must not ground the drone. A batch of only malformed
+  /// frames samples motion but leaves the gate armed.
   bool on_frames(std::span<const sensor::TofFrame> frames);
 
   const PoseEstimate& estimate() const;
@@ -158,17 +161,14 @@ class Localizer {
                                    const MclConfig& mcl, Executor& executor);
 
   bool gate_passed(const Pose2& delta) const;
+  /// The configured sensor a frame belongs to, or nullptr when the frame
+  /// is malformed (unknown sensor id, mode mismatch, or a zone count that
+  /// does not match its mode).
+  const sensor::TofSensorConfig* frame_sensor(
+      const sensor::TofFrame& frame) const;
   /// Correction-timing hook: stamps last/total correction wall time from
   /// the t0 taken at the top of the on_frames call that ran it.
   void record_correction_time(std::chrono::steady_clock::time_point t0);
-  /// Motion phase only, without touching the correction gate (used when a
-  /// frame batch carried no usable frames).
-  void step_motion_only();
-  /// Runs the motion phase for odometry accrued since the last motion
-  /// update, then the gated correction phases (motion and observation
-  /// fused into one particle pass when the gate opens). Returns true if
-  /// the correction ran.
-  bool step_filter(std::span<const sensor::Beam> beams);
 
   /// The context's config with this localizer's knobs applied.
   LocalizerConfig config_;

@@ -113,11 +113,14 @@ struct MclConfig {
   /// EDT truncation radius (must match the distance map's rmax).
   double rmax = 1.5;
 
-  /// Update gating: a motion+observation update runs only after the
-  /// odometry reports at least this much motion since the last update
-  /// (paper: dxy = 0.1 m, dθ = 0.1 rad). Both the motion and the
-  /// observation step share this gate — their rates are configured equal
-  /// (Section III-C2).
+  /// Update gating: the observation, resampling and pose phases run only
+  /// after the odometry reports at least this much motion since the last
+  /// correction (paper: dxy = 0.1 m, dθ = 0.1 rad; Section III-C2). The
+  /// motion model is NOT gated: it is sampled on every frame tick (σ_odom
+  /// per tick as scale_noise_with_motion says). That per-tick diffusion
+  /// is load-bearing: sampling motion only when the gate passes broke the
+  /// warehouse_stale_heavy scenario's ATE bound and a stale-map
+  /// success-rate gate.
   double gate_dxy = 0.1;
   double gate_dtheta = 0.1;
 

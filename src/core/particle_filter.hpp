@@ -24,7 +24,10 @@
 /// once instead of twice. Both the fusion and the SoA layout are pure
 /// re-orderings of memory traffic: every particle still sees the exact
 /// arithmetic (and per-chunk RNG stream) of the phase-by-phase path, so
-/// results are bit-identical to it.
+/// results are bit-identical to it. The motion phase draws each chunk's
+/// normals 64 particles at a time (motion_sweep → Rng::gaussians), which
+/// is the same kind of re-ordering: the chunk's stream yields the values
+/// one Rng::gaussian call per draw would, in the same order.
 ///
 /// The observation sweep additionally dispatches to a hand-written SIMD
 /// backend (src/core/kernels/: AVX2) for the LUT observation model. The
@@ -271,15 +274,16 @@ class ParticleFilter {
   /// delta is scaled by √(motion/gate) so diffusion accumulates at the
   /// configured rate per distance traveled regardless of how often the
   /// motion model is sampled, and a hovering drone does not diffuse.
+  ///
+  /// Each chunk draws its noise from its own RNG stream in blocks (see
+  /// motion_sweep); the values are those of one Rng::gaussian call per
+  /// draw, bit for bit.
   void motion_update(const Pose2& delta) {
     const MotionParams mp = motion_params(delta);
     executor_->for_chunks(
         st_.particles.size(), config_.chunks,
         [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          Rng& rng = st_.rngs[chunk];
-          for (std::size_t i = begin; i < end; ++i) {
-            motion_step(i, mp, rng);
-          }
+          motion_sweep(begin, end, mp, st_.rngs[chunk]);
         });
   }
 
@@ -339,10 +343,7 @@ class ParticleFilter {
     executor_->for_chunks(
         st_.particles.size(), config_.chunks,
         [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          Rng& rng = st_.rngs[chunk];
-          for (std::size_t i = begin; i < end; ++i) {
-            motion_step(i, mp, rng);
-          }
+          motion_sweep(begin, end, mp, st_.rngs[chunk]);
           // Keyed on the input, not the sweep array: an update whose every
           // beam is gated still sweeps (and rounds fp16 weights).
           if (!beams.empty()) observation_sweep(begin, end);
@@ -657,8 +658,8 @@ class ParticleFilter {
 
  private:
   /// Per-update motion constants, hoisted out of the particle loop. All
-  /// kept in double: the Gaussian mean/σ feed Rng::gaussian in double
-  /// precision exactly as the phase-by-phase path always did.
+  /// kept in double: each sample mean + σ·z is formed in double, as
+  /// Rng::gaussian(mean, σ) forms it.
   struct MotionParams {
     double dx0, dy0, dyaw0;
     double sxy, syaw;
@@ -677,12 +678,37 @@ class ParticleFilter {
                         config_.sigma_odom_yaw * noise_scale};
   }
 
-  /// Motion kernel body for one particle (3 Gaussian draws from the
-  /// chunk's RNG, body-frame delta rotated into the world frame).
-  inline void motion_step(std::size_t i, const MotionParams& mp, Rng& rng) {
-    const float dx = static_cast<float>(rng.gaussian(mp.dx0, mp.sxy));
-    const float dy = static_cast<float>(rng.gaussian(mp.dy0, mp.sxy));
-    const float dyaw = static_cast<float>(rng.gaussian(mp.dyaw0, mp.syaw));
+  /// Particles per motion_sweep block; its 3·kMotionBlock normals sit on
+  /// the stack.
+  static constexpr std::size_t kMotionBlock = 64;
+
+  /// Phase 1 over particles [begin, end) of one chunk, drawing from that
+  /// chunk's stream. Each block's normals come from one Rng::gaussians
+  /// call, in the order the per-particle draws took them (dx, dy, dyaw per
+  /// particle), and each sample is mean + stddev·z, the expression inside
+  /// Rng::gaussian(mean, stddev): the stream and every particle's
+  /// arithmetic are those of one gaussian call per draw.
+  void motion_sweep(std::size_t begin, std::size_t end, const MotionParams& mp,
+                    Rng& rng) {
+    std::array<double, 3 * kMotionBlock> z{};
+    for (std::size_t b = begin; b < end; b += kMotionBlock) {
+      const std::size_t n = std::min(kMotionBlock, end - b);
+      rng.gaussians(std::span(z).first(3 * n));
+      for (std::size_t j = 0; j < n; ++j) {
+        motion_step(b + j, mp.dx0 + mp.sxy * z[3 * j],
+                    mp.dy0 + mp.sxy * z[3 * j + 1],
+                    mp.dyaw0 + mp.syaw * z[3 * j + 2]);
+      }
+    }
+  }
+
+  /// Motion kernel body for one particle: the sampled body-frame delta
+  /// rotated into the world frame.
+  inline void motion_step(std::size_t i, double dx_sample, double dy_sample,
+                          double dyaw_sample) {
+    const float dx = static_cast<float>(dx_sample);
+    const float dy = static_cast<float>(dy_sample);
+    const float dyaw = static_cast<float>(dyaw_sample);
     const float yaw = static_cast<float>(st_.particles.yaw[i]);
     const float c = std::cos(yaw);
     const float s = std::sin(yaw);

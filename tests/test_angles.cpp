@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -39,6 +42,51 @@ TEST(Angles, WrapPiRangeProperty) {
     EXPECT_LE(w, kPi + 1e-12);
     // Wrapped angle must be congruent mod 2π.
     EXPECT_NEAR(std::remainder(a - w, kTwoPi), 0.0, 1e-9);
+  }
+}
+
+// wrap_pi returns an in-range angle without calling std::remainder; the
+// shortcut must equal the remainder path bit for bit, at the seam and at
+// the values that take the slow path. A NaN result (NaN or ±∞ input)
+// must stay NaN; its payload is the C library's.
+TEST(Angles, WrapPiEarlyExitMatchesRemainder) {
+  const auto by_remainder = [](double angle) {
+    angle = std::remainder(angle, kTwoPi);
+    if (angle <= -kPi) angle += kTwoPi;
+    return angle;
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> angles = {
+      kPi,
+      -kPi,
+      std::nextafter(kPi, 0.0),
+      std::nextafter(-kPi, 0.0),
+      std::nextafter(kPi, kInf),
+      std::nextafter(-kPi, -kInf),
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      kTwoPi,
+      -kTwoPi,
+      1e6,
+      -1e6,
+      std::numeric_limits<double>::quiet_NaN(),
+      kInf,
+      -kInf,
+  };
+  Rng rng(17);
+  for (int i = 0; i < 1000; ++i) angles.push_back(rng.uniform(-8.0, 8.0));
+  for (const double a : angles) {
+    SCOPED_TRACE(::testing::Message() << "angle=" << a);
+    const double expected = by_remainder(a);
+    const double got = wrap_pi(a);
+    if (std::isnan(expected)) {
+      EXPECT_TRUE(std::isnan(got));
+    } else {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(expected));
+    }
   }
 }
 

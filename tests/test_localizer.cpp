@@ -143,6 +143,14 @@ TEST(Localizer, DropsMalformedFramesAndCountsThem) {
   const std::array<sensor::TofFrame, 1> good_only{good};
   EXPECT_TRUE(loc.on_frames(good_only));
   EXPECT_EQ(loc.updates_run(), 2u);
+
+  // A gated-out batch (0.05 m since the last correction) extracts no
+  // beams, but its malformed frame is still counted.
+  loc.on_odometry(Pose2{0.45, 0.0, 0.0});
+  const std::array<sensor::TofFrame, 2> gated_mixed{short_payload, good};
+  EXPECT_FALSE(loc.on_frames(gated_mixed));
+  EXPECT_EQ(loc.dropped_frames(), 5u);
+  EXPECT_EQ(loc.updates_run(), 2u);
 }
 
 // System-level test: run the full simulated pipeline and verify global

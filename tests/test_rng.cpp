@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -86,6 +88,38 @@ TEST(Rng, GaussianTailFractions) {
   }
   EXPECT_NEAR(static_cast<double>(within1) / n, 0.6827, 0.01);
   EXPECT_NEAR(static_cast<double>(within2) / n, 0.9545, 0.01);
+}
+
+// gaussians() is the motion update's block draw; gaussian() is its
+// reference. Lengths straddle the 64-deviate block and the motion
+// sweep's 192 (3 per particle × 64), from a fresh generator and from one
+// holding a spare deviate.
+TEST(Rng, GaussiansMatchSequentialDraws) {
+  for (const bool pending_spare : {false, true}) {
+    for (const std::size_t n :
+         {0u, 1u, 2u, 3u, 63u, 64u, 65u, 191u, 192u, 193u, 1000u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "n=" << n << " pending_spare=" << pending_spare);
+      Rng block(21);
+      Rng single(21);
+      if (pending_spare) {
+        block.gaussian();
+        single.gaussian();
+      }
+      std::vector<double> out(n);
+      block.gaussians(out);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(out[i], single.gaussian()) << "deviate " << i;
+      }
+      const Rng::Snapshot a = block.snapshot();
+      const Rng::Snapshot b = single.snapshot();
+      EXPECT_EQ(a.state, b.state);
+      EXPECT_EQ(a.has_cached, b.has_cached);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.cached),
+                std::bit_cast<std::uint64_t>(b.cached));
+      EXPECT_EQ(block.gaussian(), single.gaussian());
+    }
+  }
 }
 
 TEST(Rng, UniformIndexCoversRangeUniformly) {
