@@ -8,20 +8,13 @@
 // underflow (and denormal arithmetic) cannot skew the numbers. Iteration
 // counts auto-calibrate to a minimum timed duration.
 //
-// The committed artifact is BENCH_kernels.json (--json). Threshold gates
-// (exit code 1 on violation, so CI fails loudly instead of silently
+// The committed artifact is BENCH_kernels.json (--json), which names its
+// host: CPU model, logical CPUs, compiler and default backend. Threshold
+// gates (exit code 1 on violation, so CI fails loudly instead of silently
 // regressing):
 //   * AVX2 plain-path throughput >= 2.0x scalar (when AVX2 is supported).
 //   * Every SIMD variant >= 1.0x its scalar counterpart.
-//
-// The report ends with a projected GAP9 impact: the observation phase's
-// calibrated per-particle L1 compute cost is divided by the measured
-// host speedup (the L2-traffic term and the fixed fork-join costs are
-// deliberately left untouched — vectorization buys arithmetic, not
-// memory), then the full update latency and energy are re-evaluated with
-// the platform timing/power models.
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -29,13 +22,13 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_args.hpp"
 #include "core/particle_filter.hpp"
 #include "map/rasterize.hpp"
-#include "platform/gap9_power.hpp"
-#include "platform/gap9_timing.hpp"
 #include "sim/maze.hpp"
 
 using namespace tofmcl;
@@ -180,6 +173,29 @@ Entry run_variant(const Args& args, kernels::KernelBackend backend,
   return e;
 }
 
+/// The "model name" of the first CPU in /proc/cpuinfo, or "unknown".
+std::string cpu_model() {
+  std::ifstream is("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(is, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      if (colon != std::string::npos) return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
+/// `s` as a JSON string literal (quotes and backslashes escaped).
+std::string json_string(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
+  }
+  return out + '"';
+}
+
 void json_entry(std::ofstream& os, const Entry& e, bool last) {
   os << "    {\n"
      << "      \"variant\": \"" << e.variant << "\",\n"
@@ -222,7 +238,7 @@ int main(int argc, char** argv) {
 
   std::vector<Entry> entries;
   double avx2_plain_speedup = 0.0;
-  bool gates_pass = true;
+  bool simd_not_slower = true;
   std::vector<std::string> gate_failures;
 
   for (const Variant& v : variants) {
@@ -245,7 +261,7 @@ int main(int argc, char** argv) {
           avx2_plain_speedup = e.speedup_vs_scalar;
         }
         if (e.speedup_vs_scalar < 1.0) {
-          gates_pass = false;
+          simd_not_slower = false;
           gate_failures.push_back(std::string(v.name) + "/" + v.weights +
                                   "/" + e.backend + " slower than scalar");
         }
@@ -261,44 +277,13 @@ int main(int argc, char** argv) {
   const bool avx2_supported =
       kernels::backend_supported(kernels::KernelBackend::kAvx2);
   if (avx2_supported && avx2_plain_speedup < kAvx2MinSpeedup) {
-    gates_pass = false;
     char buf[128];
     std::snprintf(buf, sizeof(buf),
                   "avx2 fp32qm speedup %.2fx below the %.1fx gate",
                   avx2_plain_speedup, kAvx2MinSpeedup);
     gate_failures.emplace_back(buf);
   }
-
-  // --- GAP9 projection -------------------------------------------------
-  // The measured best-backend speedup is applied to the observation
-  // phase's per-particle L1 compute cost; everything else (fixed costs,
-  // L2 traffic, the other three phases, the 40 us update constant) stays
-  // calibrated. This mirrors what GAP9's own 8-lane fp16 SIMD would buy:
-  // arithmetic throughput, not memory bandwidth.
-  const platform::Gap9TimingModel baseline =
-      platform::calibrated_timing_model();
-  platform::Gap9TimingModel projected = baseline;
-  const double obs_speedup = std::max(avx2_plain_speedup, 1.0);
-  projected.observation.per_particle_l1 /= obs_speedup;
-  const std::size_t gap9_particles = args.particles;
-  const std::size_t bytes_per_particle = 16;  // fp16 particle layout.
-  const platform::Placement placement = platform::placement_for(
-      gap9_particles * bytes_per_particle, baseline.spec);
-  const double freq = baseline.spec.max_frequency_mhz;
-  const double base_update_us =
-      baseline.update_ns(gap9_particles, 8, placement, freq) / 1e3;
-  const double proj_update_us =
-      projected.update_ns(gap9_particles, 8, placement, freq) / 1e3;
-  const platform::Gap9PowerModel power;
-  const double base_energy_uj =
-      power.update_energy_uj(baseline, gap9_particles, 8, placement, freq);
-  const double proj_energy_uj =
-      power.update_energy_uj(projected, gap9_particles, 8, placement, freq);
-  std::printf(
-      "gap9 projection (%zu particles, 8 cores, %s, %.0f MHz):\n"
-      "  update: %.1f us -> %.1f us   energy: %.2f uJ -> %.2f uJ\n",
-      gap9_particles, placement == platform::Placement::kL1 ? "L1" : "L2",
-      freq, base_update_us, proj_update_us, base_energy_uj, proj_energy_uj);
+  const bool gates_pass = gate_failures.empty();
 
   for (const std::string& f : gate_failures) {
     std::fprintf(stderr, "GATE FAILED: %s\n", f.c_str());
@@ -316,6 +301,14 @@ int main(int argc, char** argv) {
        << "  \"smoke\": " << (args.smoke ? "true" : "false") << ",\n"
        << "  \"particles\": " << args.particles << ",\n"
        << "  \"beams\": " << args.beams << ",\n"
+       << "  \"host\": {\n"
+       << "    \"cpu_model\": " << json_string(cpu_model()) << ",\n"
+       << "    \"logical_cpus\": " << std::thread::hardware_concurrency()
+       << ",\n"
+       << "    \"compiler\": " << json_string(__VERSION__) << ",\n"
+       << "    \"default_backend\": \""
+       << kernels::to_string(kernels::default_backend()) << "\"\n"
+       << "  },\n"
        << "  \"backends\": [";
     for (std::size_t i = 0; i < backends.size(); ++i) {
       js << (i ? ", " : "") << '"' << kernels::to_string(backends[i]) << '"';
@@ -328,20 +321,9 @@ int main(int argc, char** argv) {
        << "  \"gates\": {\n"
        << "    \"avx2_min_speedup\": " << kAvx2MinSpeedup << ",\n"
        << "    \"avx2_fp32qm_speedup\": " << avx2_plain_speedup << ",\n"
-       << "    \"simd_not_slower_than_scalar\": true,\n"
+       << "    \"simd_not_slower_than_scalar\": "
+       << (simd_not_slower ? "true" : "false") << ",\n"
        << "    \"pass\": " << (gates_pass ? "true" : "false") << "\n"
-       << "  },\n"
-       << "  \"gap9_projection\": {\n"
-       << "    \"particles\": " << gap9_particles << ",\n"
-       << "    \"cores\": 8,\n"
-       << "    \"placement\": \""
-       << (placement == platform::Placement::kL1 ? "L1" : "L2") << "\",\n"
-       << "    \"frequency_mhz\": " << freq << ",\n"
-       << "    \"observation_compute_speedup\": " << obs_speedup << ",\n"
-       << "    \"baseline_update_us\": " << base_update_us << ",\n"
-       << "    \"projected_update_us\": " << proj_update_us << ",\n"
-       << "    \"baseline_update_energy_uj\": " << base_energy_uj << ",\n"
-       << "    \"projected_update_energy_uj\": " << proj_energy_uj << "\n"
        << "  }\n"
        << "}\n";
     std::printf("wrote %s\n", args.json_path);

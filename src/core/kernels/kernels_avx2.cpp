@@ -16,9 +16,16 @@
 ///    widen the float endpoint to double, subtract the origin, DIVIDE by
 ///    the resolution (no reciprocal-multiply), floor, truncate — all in
 ///    IEEE double, all exact matches of the scalar ops.
-///  * LUT/code fetches are scalar per lane: the codes are bytes (no
-///    useful gather) and scalar loads cannot read out of bounds past the
-///    table the way a masked gather could be miscoded to.
+///  * The map lookup stays in registers. The cell is cy·W + cx for lanes
+///    inside the map and 0 outside. A masked 32-bit gather (scale 1)
+///    reads the 4-byte window at start = min(cell, W·H − 4), and
+///    (window >> 8·(cell − start)) & 0xFF is the cell's code; masked-off
+///    lanes load nothing and keep 255, the off-map code. Since
+///    0 ≤ start ≤ W·H − 4, every byte a gather touches lies inside the
+///    W·H-byte code array, so the map needs no padding. Maps with
+///    W·H < 4 (no whole window) or W·H > INT32_MAX (no int32 index) get
+///    no vector blocks: the sweep returns 0 and the scalar reference runs.
+///    A second gather reads the 256-entry LUT at the code.
 ///  * fp16 stores use F16C with round-to-nearest-even, which converts
 ///    bit-identically to the software tofmcl::Half path (pinned by
 ///    tests/test_half.cpp against an exhaustive oracle).
@@ -63,24 +70,57 @@ struct F16Io {
   static constexpr bool kFp32Storage = false;
 };
 
-/// Floors ((e − origin) / resolution) for 8 float endpoints, in double —
-/// QuantizedDistanceMap::code_at's arithmetic, four lanes at a time.
-inline void floor_cells(__m256 e, __m256d origin, __m256d resolution,
-                        double out[kLanes]) {
+/// Cell coordinates of 8 float endpoints, as QuantizedDistanceMap::code_at
+/// computes them: widen to double, subtract the origin, divide by the
+/// resolution, floor, then truncate to int32 like its static_cast<int>.
+inline __m256i cell_coords(__m256 e, __m256d origin, __m256d resolution) {
   const __m256d lo = _mm256_cvtps_pd(_mm256_castps256_ps128(e));
   const __m256d hi = _mm256_cvtps_pd(_mm256_extractf128_ps(e, 1));
-  _mm256_storeu_pd(
-      out, _mm256_floor_pd(_mm256_div_pd(_mm256_sub_pd(lo, origin),
-                                         resolution)));
-  _mm256_storeu_pd(
-      out + 4, _mm256_floor_pd(_mm256_div_pd(_mm256_sub_pd(hi, origin),
-                                             resolution)));
+  const __m128i clo = _mm256_cvttpd_epi32(
+      _mm256_floor_pd(_mm256_div_pd(_mm256_sub_pd(lo, origin), resolution)));
+  const __m128i chi = _mm256_cvttpd_epi32(
+      _mm256_floor_pd(_mm256_div_pd(_mm256_sub_pd(hi, origin), resolution)));
+  return _mm256_inserti128_si256(_mm256_castsi128_si256(clo), chi, 1);
+}
+
+/// The map geometry the lookup needs, broadcast once per sweep.
+struct CellGrid {
+  __m256i width;
+  __m256i height;
+  __m256i last_window;  ///< W·H − 4: the highest in-bounds window start.
+};
+
+/// LUT factors of 8 cells under code_at's rule (off-map cells read code
+/// 255), fetched with two gathers; see the file comment for the bounds.
+inline __m256 lut_factor(const LutMapView& m, const CellGrid& g, __m256i cx,
+                         __m256i cy) {
+  const __m256i minus_one = _mm256_set1_epi32(-1);
+  const __m256i inside = _mm256_and_si256(
+      _mm256_and_si256(_mm256_cmpgt_epi32(cx, minus_one),
+                       _mm256_cmpgt_epi32(g.width, cx)),
+      _mm256_and_si256(_mm256_cmpgt_epi32(cy, minus_one),
+                       _mm256_cmpgt_epi32(g.height, cy)));
+  const __m256i cell = _mm256_and_si256(
+      _mm256_add_epi32(_mm256_mullo_epi32(cy, g.width), cx), inside);
+  const __m256i start = _mm256_min_epi32(cell, g.last_window);
+  const __m256i window = _mm256_mask_i32gather_epi32(
+      _mm256_set1_epi32(255), reinterpret_cast<const int*>(m.codes), start,
+      inside, 1);
+  const __m256i code = _mm256_and_si256(
+      _mm256_srlv_epi32(window,
+                        _mm256_slli_epi32(_mm256_sub_epi32(cell, start), 3)),
+      _mm256_set1_epi32(0xFF));
+  return _mm256_i32gather_ps(m.lut, code, 4);
 }
 
 template <typename Io, typename Spans>
 std::size_t sweep(const LutMapView& m, const BeamSweepView& bv,
                   const Spans& p, std::size_t begin, std::size_t end,
                   bool fp16_weights) {
+  const std::int64_t cells = std::int64_t{m.width} * m.height;
+  if (cells < 4 || cells > INT32_MAX) return 0;
+  const CellGrid grid{_mm256_set1_epi32(m.width), _mm256_set1_epi32(m.height),
+                      _mm256_set1_epi32(static_cast<int>(cells - 4))};
   const std::size_t blocks = (end - begin) / kLanes;
   const __m256d origin_x = _mm256_set1_pd(m.origin_x);
   const __m256d origin_y = _mm256_set1_pd(m.origin_y);
@@ -112,28 +152,13 @@ std::size_t sweep(const LutMapView& m, const BeamSweepView& bv,
       const __m256 ey = _mm256_add_ps(
           _mm256_add_ps(y, _mm256_mul_ps(s, bx)), _mm256_mul_ps(c, by));
 
-      alignas(32) double fx[kLanes];
-      alignas(32) double fy[kLanes];
-      floor_cells(ex, origin_x, resolution, fx);
-      floor_cells(ey, origin_y, resolution, fy);
-
-      alignas(32) float factor[kLanes];
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        const int cx = static_cast<int>(fx[l]);
-        const int cy = static_cast<int>(fy[l]);
-        const std::uint8_t code =
-            (cx < 0 || cx >= m.width || cy < 0 || cy >= m.height)
-                ? std::uint8_t{255}
-                : m.codes[static_cast<std::size_t>(cy) *
-                              static_cast<std::size_t>(m.width) +
-                          static_cast<std::size_t>(cx)];
-        factor[l] = m.lut[code];
-      }
+      const __m256 factor =
+          lut_factor(m, grid, cell_coords(ex, origin_x, resolution),
+                     cell_coords(ey, origin_y, resolution));
       // w *= (factor + floor) * scale
-      const __m256 f =
-          _mm256_mul_ps(_mm256_add_ps(_mm256_load_ps(factor),
-                                      _mm256_set1_ps(beam.floor)),
-                        _mm256_set1_ps(beam.scale));
+      const __m256 f = _mm256_mul_ps(
+          _mm256_add_ps(factor, _mm256_set1_ps(beam.floor)),
+          _mm256_set1_ps(beam.scale));
       w = _mm256_mul_ps(w, f);
     }
 

@@ -13,9 +13,11 @@
 /// Contract with the caller (ParticleFilter::observation_sweep):
 ///  * observation_sweep() processes a PREFIX of [begin, end) — whole
 ///    vector blocks only — and returns how many particles it handled
-///    (0 when the backend is scalar/unavailable). The caller runs the
-///    scalar reference kernel over the remainder, so the tail arithmetic
-///    is the reference arithmetic by construction, never a re-coded copy.
+///    (0 when the backend is scalar/unavailable, or when it cannot index
+///    the map: the AVX2 gathers need 4 ≤ W·H ≤ INT32_MAX). The caller
+///    runs the scalar reference kernel over the remainder, so the tail
+///    arithmetic is the reference arithmetic by construction, never a
+///    re-coded copy.
 ///  * Only the LUT observation model is vectorized: its factor is a pure
 ///    table gather. The DirectObservationModel (float EDT + expf) stays
 ///    on the scalar path — the caller never dispatches it here.
@@ -23,7 +25,7 @@
 ///    (see particle_filter.hpp observation_step) and the quantized map's
 ///    double-precision cell indexing (map/distance_map.hpp code_at), so
 ///    equivalence holds to bit level wherever the build does not contract
-///    FMAs; the tests gate on weight ULP + pose ATE.
+///    FMAs; tests/test_kernels.cpp gates on bit-identical weights.
 
 #include <cstddef>
 #include <cstdint>
@@ -76,8 +78,9 @@ struct SweepSpansF16 {
 /// Runs the backend's observation sweep over a whole-block prefix of
 /// [begin, end); returns the number of particles processed (a multiple of
 /// the backend's lane width; 0 if the backend has no kernel in this
-/// build). `fp16_weights` additionally rounds each final weight through
-/// binary16 before the fp32 store (MclConfig::weight_precision::kFp16).
+/// build or cannot index `map`). `fp16_weights` additionally rounds each
+/// final weight through binary16 before the fp32 store
+/// (MclConfig::weight_precision::kFp16).
 std::size_t observation_sweep(KernelBackend backend, const LutMapView& map,
                               const BeamSweepView& beams,
                               const SweepSpansF32& particles,

@@ -1,15 +1,11 @@
 // Backend-equivalence suite for the SIMD observation kernels
 // (src/core/kernels/): every supported SIMD backend must reproduce the
-// scalar determinism reference within the tolerance gates of the kernel
-// contract — max weight ULP delta bounded (zero in practice on x86,
-// where the baseline build has no FMA contraction to diverge from) and
-// identical pose estimates within ATE-level bounds across full
-// motion/observation/resample trajectories.
-//
-// Positions and yaws must match BITWISE in every scenario: the motion
-// phase and resampling are scalar on all backends and both filters
-// consume identical per-chunk RNG streams, so only the weight array can
-// ever carry backend-dependent rounding.
+// scalar determinism reference bit for bit — identical weights (the build
+// contracts no FMAs, and F16C matches the software Half exactly),
+// positions and yaws across full motion/observation/resample
+// trajectories. One test calls the kernel directly on a hand-built map
+// whose code array borders inaccessible pages, pinning the bounds of the
+// AVX2 code gather.
 //
 // Registered under the `kernels` ctest label (tests/CMakeLists.txt); CI
 // runs `ctest -L kernels` in the dedicated kernels job.
@@ -18,11 +14,17 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "core/kernels/observation_kernel.hpp"
 #include "core/particle_filter.hpp"
 #include "map/rasterize.hpp"
 
@@ -57,11 +59,9 @@ Beam beam_at(double azimuth, double range) {
   return b;
 }
 
-/// Tolerance gate on the weight array. Zero on x86 (no contraction in
-/// the baseline build, and F16C matches the software Half bit for bit);
-/// a small allowance covers aarch64, where -ffp-contract may fuse the
-/// scalar reference's multiply-adds.
-constexpr std::int64_t kMaxWeightUlp = 8;
+/// Gate on the weight array: bit-identical. The build contracts no FMAs,
+/// and F16C rounds exactly like the software Half.
+constexpr std::int64_t kMaxWeightUlp = 0;
 
 /// Ordered-integer distance between two binary32 values (the usual
 /// sign-magnitude → two's-complement-ordered trick).
@@ -85,7 +85,7 @@ std::int64_t ulp_delta(Half a, Half b) {
 }
 
 /// Asserts the backend contract between two filters that consumed the
-/// same inputs: bitwise-equal poses/positions, ULP-bounded weights.
+/// same inputs: bitwise-equal poses, positions and weights.
 template <typename Traits>
 void expect_state_matches(const ParticleFilter<Traits>& scalar_pf,
                           const ParticleFilter<Traits>& simd_pf,
@@ -425,6 +425,147 @@ TEST(Kernels, DirectModelIgnoresBackendRequest) {
     }
     scalar_pf.resample();
     simd_pf.resample();
+  }
+}
+
+/// A byte array placed flush against an inaccessible (PROT_NONE) page:
+/// it ends where the page begins (`guard_after`) or begins where the page
+/// ends. Reading one byte past the array's end, or one before its start,
+/// faults.
+class GuardedBytes {
+ public:
+  GuardedBytes(std::size_t size, bool guard_after)
+      : page_(static_cast<std::size_t>(::sysconf(_SC_PAGESIZE))) {
+    if (size > page_) return;
+    void* p = ::mmap(nullptr, 2 * page_, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) return;
+    base_ = static_cast<std::uint8_t*>(p);
+    std::uint8_t* guard = guard_after ? base_ + page_ : base_;
+    if (::mprotect(guard, page_, PROT_NONE) != 0) return;
+    data_ = guard_after ? guard - size : guard + page_;
+  }
+  ~GuardedBytes() {
+    if (base_ != nullptr) ::munmap(base_, 2 * page_);
+  }
+  GuardedBytes(const GuardedBytes&) = delete;
+  GuardedBytes& operator=(const GuardedBytes&) = delete;
+
+  /// nullptr when the mapping could not be set up.
+  std::uint8_t* data() const { return data_; }
+
+ private:
+  std::size_t page_;
+  std::uint8_t* base_ = nullptr;
+  std::uint8_t* data_ = nullptr;
+};
+
+/// QuantizedDistanceMap::code_at's rule over a LutMapView.
+std::uint8_t code_at(const kernels::LutMapView& m, float x, float y) {
+  const int cx = static_cast<int>(
+      std::floor((static_cast<double>(x) - m.origin_x) / m.resolution));
+  const int cy = static_cast<int>(
+      std::floor((static_cast<double>(y) - m.origin_y) / m.resolution));
+  if (cx < 0 || cx >= m.width || cy < 0 || cy >= m.height) return 255;
+  return m.codes[static_cast<std::size_t>(cy) *
+                     static_cast<std::size_t>(m.width) +
+                 static_cast<std::size_t>(cx)];
+}
+
+/// One sweep beam at the body origin with floor 0 and scale 1: a particle
+/// of weight 1 comes out weighing exactly the LUT entry of its own cell.
+constexpr SweepBeam kBeamAtOrigin{Vec2f{0.0f, 0.0f}, 0.0f, 1.0f};
+
+/// Sweeps one particle (yaw 0, weight 1) at the center of every cell of
+/// `m` and of the ring of cells around it, padded to whole blocks with
+/// particles far off the map, and expects each weight to be the LUT
+/// entry of code_at's code. T is the particle scalar: float or Half.
+template <typename T>
+void expect_lut_of_every_cell(kernels::KernelBackend backend,
+                              const kernels::LutMapView& m,
+                              const char* where) {
+  using Spans = std::conditional_t<std::is_same_v<T, Half>,
+                                   kernels::SweepSpansF16,
+                                   kernels::SweepSpansF32>;
+  const auto center = [&](double origin, int cell) {
+    return T(static_cast<float>(origin + (cell + 0.5) * m.resolution));
+  };
+  std::vector<T> x;
+  std::vector<T> y;
+  for (int cy = -1; cy <= m.height; ++cy) {
+    for (int cx = -1; cx <= m.width; ++cx) {
+      x.push_back(center(m.origin_x, cx));
+      y.push_back(center(m.origin_y, cy));
+    }
+  }
+  while (x.size() % 8 != 0) {
+    x.push_back(T(-1000.0f));
+    y.push_back(T(1000.0f));
+  }
+  const std::vector<T> yaw(x.size(), T(0.0f));
+  std::vector<T> weight(x.size(), T(1.0f));
+  const std::size_t handled = kernels::observation_sweep(
+      backend, m, kernels::BeamSweepView{&kBeamAtOrigin, 1},
+      Spans{x.data(), y.data(), yaw.data(), weight.data()}, 0, x.size(),
+      false);
+  ASSERT_EQ(handled, x.size()) << where;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const std::uint8_t code =
+        code_at(m, static_cast<float>(x[i]), static_cast<float>(y[i]));
+    EXPECT_EQ(static_cast<float>(weight[i]),
+              static_cast<float>(T(m.lut[code])))
+        << where << " particle " << i << " code " << int{code};
+  }
+}
+
+// The AVX2 kernel fetches each lane's code through a 4-byte gather
+// window, clamped to the last whole window of the code array and shifted
+// down to the cell's byte. Tests over rasterized maps cannot see that
+// logic (there the last cells share one code), so here every cell has
+// its own code and the code array borders an inaccessible page on either
+// side: a wrong shift picks a neighbour's LUT entry, and a window that
+// leaves the array faults.
+TEST(Kernels, CodeGatherStaysInsideTheCodeArray) {
+  const auto backends = simd_backends();
+  if (backends.empty()) GTEST_SKIP() << "no SIMD backend on this host";
+  std::vector<float> lut(256);
+  for (std::size_t k = 0; k < lut.size(); ++k) {
+    lut[k] = 0.5f + static_cast<float>(k);  // exact in binary16 as well
+  }
+
+  for (const auto backend : backends) {
+    for (const auto& [width, height] : {std::pair{7, 5}, std::pair{2, 2}}) {
+      const auto cells = static_cast<std::size_t>(width * height);
+      for (const bool guard_after : {true, false}) {
+        const GuardedBytes codes(cells, guard_after);
+        ASSERT_NE(codes.data(), nullptr) << "mmap/mprotect failed";
+        for (std::size_t i = 0; i < cells; ++i) {
+          codes.data()[i] = static_cast<std::uint8_t>(3 * i + 1);
+        }
+        const kernels::LutMapView m{codes.data(), width, height, -1.0,
+                                    2.0,          0.5,   lut.data()};
+        const char* where = guard_after ? "guard page after the codes"
+                                        : "guard page before the codes";
+        SCOPED_TRACE(::testing::Message() << width << "x" << height);
+        expect_lut_of_every_cell<float>(backend, m, where);
+        expect_lut_of_every_cell<Half>(backend, m, where);
+      }
+    }
+
+    // Fewer than four cells hold no whole window: the kernel handles no
+    // particle and leaves the map to the scalar reference.
+    const GuardedBytes tiny(3, true);
+    ASSERT_NE(tiny.data(), nullptr) << "mmap/mprotect failed";
+    const kernels::LutMapView m{tiny.data(), 3, 1, 0.0, 0.0, 0.5, lut.data()};
+    const std::vector<float> pos(8, 0.25f);
+    std::vector<float> weight(8, 1.0f);
+    EXPECT_EQ(kernels::observation_sweep(
+                  backend, m, kernels::BeamSweepView{&kBeamAtOrigin, 1},
+                  kernels::SweepSpansF32{pos.data(), pos.data(), pos.data(),
+                                         weight.data()},
+                  0, 8, false),
+              0u);
+    EXPECT_EQ(weight, std::vector<float>(8, 1.0f));
   }
 }
 

@@ -348,8 +348,8 @@ TEST(ServeGolden, MazeSessions) {
 
 // Golden digest of the `bench_serving_latency --smoke` battery: the same
 // replay sources, session options and paced push/pump windows, so the
-// digest equals the FNV-1a of that bench's `--trace` file under
-// TOFMCL_KERNEL=scalar.
+// digest equals the FNV-1a of that bench's `--trace` file.
+constexpr std::uint64_t kSmokeBatteryDigest = 0x95d1793a975364ddull;
 
 /// The bench's input stream for one recorded leg: one SessionInput per
 /// frame-capture instant, carrying the last odometry sample at or before
@@ -377,59 +377,73 @@ std::vector<SessionInput> replay_stream(const sim::Sequence& seq,
   return stream;
 }
 
-TEST(ServeGolden, SmokeBattery) {
-  golden::expect_digest("serving smoke", 0x95d1793a975364ddull, [] {
-    constexpr std::size_t kThreads = 2;
-    constexpr std::size_t kSessions = 256;
-    constexpr std::size_t kTicks = 20;
-    constexpr std::size_t kQueue = 8;
-    eval::CampaignSpec spec;
-    spec.worlds = {{eval::CampaignWorld::kSmallMaze, 0},
-                   {eval::CampaignWorld::kSmallMaze, 2}};
-    spec.inits = {{eval::InitSpec::Mode::kTracking, 0.2, 0.2, 2}};
-    spec.precisions = {core::Precision::kFp32Qm};
-    spec.seeds_per_cell = 2;
-    spec.mcl.num_particles = 128;
-    spec.master_seed = 31;
-    eval::Campaign campaign(std::move(spec));
-    eval::CampaignOptions prep;
-    prep.threads = kThreads;
-    const auto sources = campaign.export_replay_sources(prep);
+/// Serves the `bench_serving_latency --smoke` battery over `shards` slot
+/// shards in pump batches of `pump_batch` sessions and returns its
+/// correction_trace(). Sharding and batching never change a trace, so
+/// every layout hashes to the same digest.
+std::string run_smoke_battery(std::size_t shards, std::size_t pump_batch) {
+  constexpr std::size_t kThreads = 2;
+  constexpr std::size_t kSessions = 256;
+  constexpr std::size_t kTicks = 20;
+  constexpr std::size_t kQueue = 8;
+  eval::CampaignSpec spec;
+  spec.worlds = {{eval::CampaignWorld::kSmallMaze, 0},
+                 {eval::CampaignWorld::kSmallMaze, 2}};
+  spec.inits = {{eval::InitSpec::Mode::kTracking, 0.2, 0.2, 2}};
+  spec.precisions = {core::Precision::kFp32Qm};
+  spec.seeds_per_cell = 2;
+  spec.mcl.num_particles = 128;
+  spec.master_seed = 31;
+  eval::Campaign campaign(std::move(spec));
+  eval::CampaignOptions prep;
+  prep.threads = kThreads;
+  const auto sources = campaign.export_replay_sources(prep);
 
-    std::vector<std::vector<SessionInput>> streams;
-    std::size_t ticks = kTicks;
-    for (const eval::ReplaySource& src : sources) {
-      streams.push_back(replay_stream(src.legs.front(), kTicks));
-      ticks = std::min(ticks, streams.back().size());
-    }
-    SessionManager mgr(serve_options(kThreads));
-    for (const eval::ReplaySource& src : sources) {
-      if (!mgr.has_map(src.map_key)) mgr.define_map(src.map_key, src.maps);
-    }
+  std::vector<std::vector<SessionInput>> streams;
+  std::size_t ticks = kTicks;
+  for (const eval::ReplaySource& src : sources) {
+    streams.push_back(replay_stream(src.legs.front(), kTicks));
+    ticks = std::min(ticks, streams.back().size());
+  }
+  SessionManager mgr(serve_options(kThreads, shards, pump_batch));
+  for (const eval::ReplaySource& src : sources) {
+    if (!mgr.has_map(src.map_key)) mgr.define_map(src.map_key, src.maps);
+  }
+  for (std::size_t id = 0; id < kSessions; ++id) {
+    const eval::ReplaySource& src = sources[id % sources.size()];
+    SessionOptions opts;
+    opts.config.precision = core::Precision::kFp32Qm;
+    opts.config.mcl = campaign.spec().mcl;
+    opts.config.mcl.seed =
+        eval::campaign_mix(campaign.spec().master_seed, 0x5e55u + id);
+    opts.config.mcl.min_particles = 128;
+    opts.config.sensors = {src.front_tof, src.rear_tof};
+    opts.queue_capacity = kQueue;
+    opts.start = StartPose{src.start_pose, 0.2, 0.2};
+    mgr.open_session(src.map_key, opts);
+  }
+  for (std::size_t base = 0; base < ticks; base += kQueue / 2) {
+    const std::size_t end = std::min(ticks, base + kQueue / 2);
     for (std::size_t id = 0; id < kSessions; ++id) {
-      const eval::ReplaySource& src = sources[id % sources.size()];
-      SessionOptions opts;
-      opts.config.precision = core::Precision::kFp32Qm;
-      opts.config.mcl = campaign.spec().mcl;
-      opts.config.mcl.seed =
-          eval::campaign_mix(campaign.spec().master_seed, 0x5e55u + id);
-      opts.config.mcl.min_particles = 128;
-      opts.config.sensors = {src.front_tof, src.rear_tof};
-      opts.queue_capacity = kQueue;
-      opts.start = StartPose{src.start_pose, 0.2, 0.2};
-      mgr.open_session(src.map_key, opts);
-    }
-    for (std::size_t base = 0; base < ticks; base += kQueue / 2) {
-      const std::size_t end = std::min(ticks, base + kQueue / 2);
-      for (std::size_t id = 0; id < kSessions; ++id) {
-        for (std::size_t t = base; t < end; ++t) {
-          mgr.push(id, streams[id % sources.size()][t]);
-        }
+      for (std::size_t t = base; t < end; ++t) {
+        mgr.push(id, streams[id % sources.size()][t]);
       }
-      mgr.pump();
     }
-    return correction_trace(mgr);
-  });
+    mgr.pump();
+  }
+  return correction_trace(mgr);
+}
+
+TEST(ServeGolden, SmokeBattery) {
+  golden::expect_digest("serving smoke", kSmokeBatteryDigest,
+                        [] { return run_smoke_battery(1, 16); });
+}
+
+// The same battery as `bench_serving_latency --smoke --shards 8
+// --pump-batch 4`.
+TEST(ServeGolden, ShardedSmokeBattery) {
+  golden::expect_digest("sharded serving smoke", kSmokeBatteryDigest,
+                        [] { return run_smoke_battery(8, 4); });
 }
 
 TEST(SessionManager, ReportAggregatesPerMapAndGlobally) {
