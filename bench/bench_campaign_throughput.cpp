@@ -46,7 +46,7 @@ struct Args {
   /// (the drone flies the mutated hall, the localizer keeps the pristine
   /// map) crossed with the observation-model axis.
   bool stale = false;
-  /// Dump a hexfloat per-run trace for cross-process determinism diffs.
+  /// Dump the hexfloat per-run trace that CampaignGolden.* hashes.
   const char* trace_path = nullptr;
 };
 
@@ -83,9 +83,9 @@ Args parse(int argc, char** argv) {
           "  --stale        stale-map warehouse battery: pristine vs\n"
           "                 light vs heavy map mutation x the\n"
           "                 observation-model axis (forces >= 6 runs)\n"
-          "  --trace FILE   write a hexfloat per-run result trace (CI\n"
-          "                 diffs two invocations for cross-process\n"
-          "                 determinism)\n");
+          "  --trace FILE   write a hexfloat per-run result trace (its\n"
+          "                 FNV-1a is the committed CampaignGolden\n"
+          "                 digest of a --smoke battery)\n");
       std::exit(0);
     } else if (is("--runs")) {
       args.runs = count();
@@ -174,8 +174,8 @@ int main(int argc, char** argv) {
   if (args.stale) {
     // One warehouse flown at three staleness levels — the localizer's map
     // stays pristine while the hall gets rearranged — with the paired
-    // observation-model axis on top. CI diffs two hexfloat traces of this
-    // battery, covering mutate_world itself cross-process.
+    // observation-model axis on top. CampaignGolden.StaleSmoke pins its
+    // trace, covering mutate_world itself.
     spec.worlds = {{eval::CampaignWorld::kWarehouse, 0, 2},
                    {eval::CampaignWorld::kWarehouse, 0, 2, 180.0, 1,
                     sim::MutationLevel::kLight, 500},
@@ -188,8 +188,7 @@ int main(int argc, char** argv) {
   } else if (args.crowd) {
     // One warehouse aisle tour under a five-pedestrian crossing crowd,
     // replayed through both observation models (paired: the axis shares
-    // data/filter seeds). CI diffs two hexfloat traces of this battery
-    // for cross-process determinism of the heavy-crowd cell.
+    // data/filter seeds). CampaignGolden.CrowdSmoke pins its trace.
     spec.worlds = {{eval::CampaignWorld::kWarehouse, 0, 2}};
     spec.inits = {{eval::InitSpec::Mode::kTracking, 0.2, 0.2, 2}};
     spec.precisions = {core::Precision::kFp32Qm};
@@ -253,10 +252,9 @@ int main(int argc, char** argv) {
   if (!ok) return 1;
 
   if (args.trace_path != nullptr) {
-    // Hexfloat per-run trace: two invocations of the same battery in
-    // different processes must produce byte-identical files (covers world
-    // generation, tour planning, obstacle scatter, dataset generation and
-    // the filter itself).
+    // Hexfloat per-run trace (covers world generation, tour planning,
+    // obstacle scatter, dataset generation and the filter itself): the
+    // bytes behind a CampaignGolden digest that moved.
     std::ofstream trace(args.trace_path);
     if (!trace) {
       std::fprintf(stderr, "cannot open trace file %s\n", args.trace_path);

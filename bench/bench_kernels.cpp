@@ -1,6 +1,6 @@
 // Kernel-backend benchmark: observation-sweep throughput per KernelBackend
 // (scalar reference vs the AVX2 SIMD path of src/core/kernels/) and per
-// weight representation (fp32, fp32-compute/fp16-store, native fp16).
+// precision variant (fp32qm with fp32 weights, fp16qm with fp16 weights).
 //
 // Self-contained (no Google Benchmark): each variant times repeated
 // observation_update() calls over the evaluation grid, resetting the
@@ -116,7 +116,6 @@ std::vector<sensor::Beam> synthetic_beams(std::size_t count) {
 /// One measured configuration.
 struct Entry {
   std::string variant;   ///< fp32qm / fp32qm_mixture / fp16qm.
-  std::string weights;   ///< fp32 / fp16-store / fp16.
   std::string backend;   ///< scalar / avx2.
   double seconds = 0.0;
   std::size_t iterations = 0;
@@ -136,12 +135,11 @@ double now_seconds() {
 /// weights.
 template <typename Traits>
 Entry run_variant(const Args& args, kernels::KernelBackend backend,
-                  core::WeightPrecision wp, bool mixture) {
+                  bool mixture) {
   const auto& grid = evaluation_grid();
   const typename Traits::Map dmap(grid, 1.5);
   core::MclConfig cfg;
   cfg.num_particles = args.particles;
-  cfg.weight_precision = wp;
   if (mixture) {
     cfg.z_short = 0.4;
     cfg.lambda_short = 1.3;
@@ -199,7 +197,6 @@ std::string json_string(const std::string& s) {
 void json_entry(std::ofstream& os, const Entry& e, bool last) {
   os << "    {\n"
      << "      \"variant\": \"" << e.variant << "\",\n"
-     << "      \"weights\": \"" << e.weights << "\",\n"
      << "      \"backend\": \"" << e.backend << "\",\n"
      << "      \"seconds\": " << e.seconds << ",\n"
      << "      \"iterations\": " << e.iterations << ",\n"
@@ -224,16 +221,13 @@ int main(int argc, char** argv) {
   // SIMD rows are normalized against.
   struct Variant {
     const char* name;
-    const char* weights;
-    core::WeightPrecision wp;
     bool mixture;
     bool fp16_traits;
   };
   const Variant variants[] = {
-      {"fp32qm", "fp32", core::WeightPrecision::kNative, false, false},
-      {"fp32qm_mixture", "fp32", core::WeightPrecision::kNative, true, false},
-      {"fp32qm", "fp16-store", core::WeightPrecision::kFp16, false, false},
-      {"fp16qm", "fp16", core::WeightPrecision::kNative, false, true},
+      {"fp32qm", false, false},
+      {"fp32qm_mixture", true, false},
+      {"fp16qm", false, true},
   };
 
   std::vector<Entry> entries;
@@ -245,30 +239,26 @@ int main(int argc, char** argv) {
     double scalar_rate = 0.0;
     for (const auto backend : backends) {
       Entry e = v.fp16_traits
-                    ? run_variant<core::Fp16QmTraits>(args, backend, v.wp,
-                                                      v.mixture)
-                    : run_variant<core::Fp32QmTraits>(args, backend, v.wp,
-                                                      v.mixture);
+                    ? run_variant<core::Fp16QmTraits>(args, backend, v.mixture)
+                    : run_variant<core::Fp32QmTraits>(args, backend, v.mixture);
       e.variant = v.name;
-      e.weights = v.weights;
       if (backend == kernels::KernelBackend::kScalar) {
         scalar_rate = e.particles_beams_per_s;
       } else {
         e.speedup_vs_scalar = e.particles_beams_per_s / scalar_rate;
         if (std::strcmp(v.name, "fp32qm") == 0 &&
-            std::strcmp(v.weights, "fp32") == 0 &&
             backend == kernels::KernelBackend::kAvx2) {
           avx2_plain_speedup = e.speedup_vs_scalar;
         }
         if (e.speedup_vs_scalar < 1.0) {
           simd_not_slower = false;
-          gate_failures.push_back(std::string(v.name) + "/" + v.weights +
-                                  "/" + e.backend + " slower than scalar");
+          gate_failures.push_back(std::string(v.name) + "/" + e.backend +
+                                  " slower than scalar");
         }
       }
-      std::printf("%-16s %-10s %-7s %12.3e particles*beams/s  (%5.2fx)\n",
-                  v.name, v.weights, e.backend.c_str(),
-                  e.particles_beams_per_s, e.speedup_vs_scalar);
+      std::printf("%-16s %-7s %12.3e particles*beams/s  (%5.2fx)\n", v.name,
+                  e.backend.c_str(), e.particles_beams_per_s,
+                  e.speedup_vs_scalar);
       entries.push_back(std::move(e));
     }
   }

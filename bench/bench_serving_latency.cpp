@@ -16,9 +16,8 @@
 // drop-oldest admission control actually fires; the default paced mode
 // pushes in windows smaller than the queue so nothing is lost.
 //
-// --trace dumps a hexfloat per-session correction trace; CI runs the
-// bench twice and diffs the files, extending the cross-process
-// determinism gates to the serving layer.
+// --trace dumps the hexfloat per-session correction trace; with --smoke
+// its FNV-1a is the committed digest ServeGolden.SmokeBattery checks.
 
 #include <algorithm>
 #include <chrono>
@@ -96,8 +95,8 @@ Args parse(int argc, char** argv) {
           "                 drop-oldest admission control to fire)\n"
           "  --smoke        small-maze CI configuration (256 sessions)\n"
           "  --json FILE    write the report as JSON (BENCH_serving.json)\n"
-          "  --trace FILE   hexfloat per-session correction trace (CI\n"
-          "                 diffs two invocations cross-process)\n");
+          "  --trace FILE   hexfloat per-session correction trace (the\n"
+          "                 bytes ServeGolden.SmokeBattery hashes)\n");
       std::exit(0);
     } else if (is("--sessions")) {
       args.sessions = count();

@@ -52,7 +52,6 @@ constexpr std::size_t kLanes = 8;
 struct F32Io {
   static __m256 load(const float* p) { return _mm256_loadu_ps(p); }
   static void store(float* p, __m256 v) { _mm256_storeu_ps(p, v); }
-  static constexpr bool kFp32Storage = true;
 };
 
 /// fp16 particle fields: F16C widen on load, RNE narrow on store — both
@@ -67,7 +66,6 @@ struct F16Io {
         reinterpret_cast<__m128i*>(p),
         _mm256_cvtps_ph(v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC));
   }
-  static constexpr bool kFp32Storage = false;
 };
 
 /// Cell coordinates of 8 float endpoints, as QuantizedDistanceMap::code_at
@@ -115,8 +113,7 @@ inline __m256 lut_factor(const LutMapView& m, const CellGrid& g, __m256i cx,
 
 template <typename Io, typename Spans>
 std::size_t sweep(const LutMapView& m, const BeamSweepView& bv,
-                  const Spans& p, std::size_t begin, std::size_t end,
-                  bool fp16_weights) {
+                  const Spans& p, std::size_t begin, std::size_t end) {
   const std::int64_t cells = std::int64_t{m.width} * m.height;
   if (cells < 4 || cells > INT32_MAX) return 0;
   const CellGrid grid{_mm256_set1_epi32(m.width), _mm256_set1_epi32(m.height),
@@ -161,14 +158,6 @@ std::size_t sweep(const LutMapView& m, const BeamSweepView& bv,
           _mm256_set1_ps(beam.scale));
       w = _mm256_mul_ps(w, f);
     }
-
-    if (Io::kFp32Storage && fp16_weights) {
-      // MclConfig::weight_precision == kFp16: round the fp32 weight
-      // through binary16 (RNE), identical to the software Half
-      // round-trip the scalar path applies.
-      w = _mm256_cvtph_ps(
-          _mm256_cvtps_ph(w, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC));
-    }
     Io::store(p.weight + i0, w);
   }
   return blocks * kLanes;
@@ -179,17 +168,15 @@ std::size_t sweep(const LutMapView& m, const BeamSweepView& bv,
 std::size_t observation_sweep_avx2(const LutMapView& map,
                                    const BeamSweepView& beams,
                                    const SweepSpansF32& particles,
-                                   std::size_t begin, std::size_t end,
-                                   bool fp16_weights) {
-  return sweep<F32Io>(map, beams, particles, begin, end, fp16_weights);
+                                   std::size_t begin, std::size_t end) {
+  return sweep<F32Io>(map, beams, particles, begin, end);
 }
 
 std::size_t observation_sweep_avx2(const LutMapView& map,
                                    const BeamSweepView& beams,
                                    const SweepSpansF16& particles,
-                                   std::size_t begin, std::size_t end,
-                                   bool fp16_weights) {
-  return sweep<F16Io>(map, beams, particles, begin, end, fp16_weights);
+                                   std::size_t begin, std::size_t end) {
+  return sweep<F16Io>(map, beams, particles, begin, end);
 }
 
 }  // namespace tofmcl::core::kernels

@@ -7,12 +7,11 @@ namespace {
 template <typename Spans>
 std::size_t dispatch(KernelBackend backend, const LutMapView& map,
                      const BeamSweepView& beams, const Spans& particles,
-                     std::size_t begin, std::size_t end, bool fp16_weights) {
+                     std::size_t begin, std::size_t end) {
   switch (backend) {
     case KernelBackend::kAvx2:
 #if defined(TOFMCL_KERNELS_AVX2)
-      return observation_sweep_avx2(map, beams, particles, begin, end,
-                                    fp16_weights);
+      return observation_sweep_avx2(map, beams, particles, begin, end);
 #else
       break;
 #endif
@@ -27,17 +26,15 @@ std::size_t dispatch(KernelBackend backend, const LutMapView& map,
 std::size_t observation_sweep(KernelBackend backend, const LutMapView& map,
                               const BeamSweepView& beams,
                               const SweepSpansF32& particles,
-                              std::size_t begin, std::size_t end,
-                              bool fp16_weights) {
-  return dispatch(backend, map, beams, particles, begin, end, fp16_weights);
+                              std::size_t begin, std::size_t end) {
+  return dispatch(backend, map, beams, particles, begin, end);
 }
 
 std::size_t observation_sweep(KernelBackend backend, const LutMapView& map,
                               const BeamSweepView& beams,
                               const SweepSpansF16& particles,
-                              std::size_t begin, std::size_t end,
-                              bool fp16_weights) {
-  return dispatch(backend, map, beams, particles, begin, end, fp16_weights);
+                              std::size_t begin, std::size_t end) {
+  return dispatch(backend, map, beams, particles, begin, end);
 }
 
 }  // namespace tofmcl::core::kernels

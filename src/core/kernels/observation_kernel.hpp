@@ -78,31 +78,25 @@ struct SweepSpansF16 {
 /// Runs the backend's observation sweep over a whole-block prefix of
 /// [begin, end); returns the number of particles processed (a multiple of
 /// the backend's lane width; 0 if the backend has no kernel in this
-/// build or cannot index `map`). `fp16_weights` additionally rounds each
-/// final weight through binary16 before the fp32 store
-/// (MclConfig::weight_precision::kFp16).
+/// build or cannot index `map`).
 std::size_t observation_sweep(KernelBackend backend, const LutMapView& map,
                               const BeamSweepView& beams,
                               const SweepSpansF32& particles,
-                              std::size_t begin, std::size_t end,
-                              bool fp16_weights);
+                              std::size_t begin, std::size_t end);
 std::size_t observation_sweep(KernelBackend backend, const LutMapView& map,
                               const BeamSweepView& beams,
                               const SweepSpansF16& particles,
-                              std::size_t begin, std::size_t end,
-                              bool fp16_weights);
+                              std::size_t begin, std::size_t end);
 
 /// Backend entry points (defined in kernels_<backend>.cpp when compiled
 /// in — call through observation_sweep(), which guards availability).
 std::size_t observation_sweep_avx2(const LutMapView& map,
                                    const BeamSweepView& beams,
                                    const SweepSpansF32& particles,
-                                   std::size_t begin, std::size_t end,
-                                   bool fp16_weights);
+                                   std::size_t begin, std::size_t end);
 std::size_t observation_sweep_avx2(const LutMapView& map,
                                    const BeamSweepView& beams,
                                    const SweepSpansF16& particles,
-                                   std::size_t begin, std::size_t end,
-                                   bool fp16_weights);
+                                   std::size_t begin, std::size_t end);
 
 }  // namespace tofmcl::core::kernels

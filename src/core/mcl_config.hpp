@@ -20,19 +20,6 @@ enum class Precision : std::uint8_t {
 
 const char* to_string(Precision p);
 
-/// Storage precision of the particle WEIGHT array across the observation
-/// sweep (orthogonal to Precision, which fixes the particle/map scalars).
-enum class WeightPrecision : std::uint8_t {
-  /// Weights stored in the trait's native scalar, untouched — the
-  /// bit-identical determinism reference.
-  kNative,
-  /// Weights rounded through IEEE binary16 after every observation step:
-  /// compute-in-fp32 / store-in-fp16, the GAP9 trick that halves weight
-  /// memory traffic without touching the particle scalars. No-op for
-  /// fp16qm (weights are already halfs).
-  kFp16,
-};
-
 struct MclConfig {
   std::size_t num_particles = 4096;
 
@@ -164,10 +151,6 @@ struct MclConfig {
   /// Histogram bin sizes defining "occupied bins" k for the bound.
   double kld_bin_xy = 0.5;
   double kld_bin_yaw = 3.14159265358979323846 / 6.0;
-
-  /// Weight-array storage precision during the observation sweep (see
-  /// WeightPrecision). Scoring-relevant: fingerprinted.
-  WeightPrecision weight_precision = WeightPrecision::kNative;
 
   /// Master seed for all stochastic parts of the filter.
   std::uint64_t seed = 1;

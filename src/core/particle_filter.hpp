@@ -345,7 +345,7 @@ class ParticleFilter {
         [&](std::size_t chunk, std::size_t begin, std::size_t end) {
           motion_sweep(begin, end, mp, st_.rngs[chunk]);
           // Keyed on the input, not the sweep array: an update whose every
-          // beam is gated still sweeps (and rounds fp16 weights).
+          // beam is gated still sweeps.
           if (!beams.empty()) observation_sweep(begin, end);
         });
   }
@@ -836,13 +836,10 @@ class ParticleFilter {
                                                st_.sweep_beams.size()};
         begin += kernels::observation_sweep(backend_, lut_map_view(),
                                             beam_view, sweep_spans(), begin,
-                                            end, fp16_weights());
+                                            end);
       }
     }
-    for (std::size_t i = begin; i < end; ++i) {
-      observation_step(i);
-      round_weight_fp16(i);
-    }
+    for (std::size_t i = begin; i < end; ++i) observation_step(i);
   }
 
   /// Flattened map + LUT view for the SIMD kernels. Only instantiated for
@@ -865,30 +862,6 @@ class ParticleFilter {
                                     st_.particles.y.data(),
                                     st_.particles.yaw.data(),
                                     st_.particles.weight.data()};
-    }
-  }
-
-  /// True when fp32-stored weights must round through binary16
-  /// (MclConfig::weight_precision). fp16 particle storage already rounds
-  /// by construction.
-  bool fp16_weights() const {
-    if constexpr (std::is_same_v<Scalar, float>) {
-      return config_.weight_precision == WeightPrecision::kFp16;
-    } else {
-      return false;
-    }
-  }
-
-  /// Opt-in fp16 weight storage (MclConfig::weight_precision::kFp16):
-  /// round the freshly written weight through binary16 after the
-  /// observation step — compute-in-fp32, store-in-fp16. No-op at the
-  /// default kNative; the reference arithmetic is untouched.
-  inline void round_weight_fp16(std::size_t i) {
-    if constexpr (std::is_same_v<Scalar, float>) {
-      if (config_.weight_precision == WeightPrecision::kFp16) {
-        st_.particles.weight[i] =
-            half_bits_to_float(float_to_half_bits(st_.particles.weight[i]));
-      }
     }
   }
 

@@ -137,7 +137,6 @@ std::string scoring_fingerprint(const LocalizerConfig& config) {
   append(out, m.kld_bin_xy);
   append(out, m.kld_bin_yaw);
   append(out, m.chunks);
-  append(out, static_cast<std::size_t>(m.weight_precision));
   out += "prec:";
   out += to_string(config.precision);
   out += "|extract:";

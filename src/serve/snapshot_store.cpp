@@ -1,5 +1,6 @@
 #include "serve/snapshot_store.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -59,12 +60,14 @@ FileSnapshotStore::FileSnapshotStore(std::filesystem::path dir)
     if (!entry.is_regular_file() || entry.path().extension() != ".snap") {
       continue;
     }
+    // Only path_of's own spelling is ours: "7.old.snap" and "007.snap"
+    // would parse as 7 too, and adopting them would index a foreign file
+    // under a live id.
+    const std::string stem = entry.path().stem().string();
     std::uint64_t id = 0;
-    try {
-      id = std::stoull(entry.path().stem().string());
-    } catch (const std::exception&) {
-      continue;  // Foreign file; not ours to index.
-    }
+    const auto parsed =
+        std::from_chars(stem.data(), stem.data() + stem.size(), id);
+    if (parsed.ec != std::errc() || std::to_string(id) != stem) continue;
     const std::size_t size = static_cast<std::size_t>(entry.file_size());
     sizes_[id] = size;
     bytes_ += size;

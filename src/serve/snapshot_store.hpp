@@ -71,9 +71,10 @@ class InMemorySnapshotStore final : public SnapshotStore {
 /// the in-memory store's (tests/test_serve.cpp gates on this).
 class FileSnapshotStore final : public SnapshotStore {
  public:
-  /// Creates `dir` when missing and indexes any "*.snap" files already
-  /// present. Throws common::IoError when the directory cannot be
-  /// created.
+  /// Creates `dir` when missing and indexes the "<id>.snap" files already
+  /// present, where <id> is spelled as std::to_string writes it; any other
+  /// file is left alone. Throws common::IoError when the directory cannot
+  /// be created.
   explicit FileSnapshotStore(std::filesystem::path dir);
 
   void put(std::uint64_t id, std::vector<std::byte> blob) override;

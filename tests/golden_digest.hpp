@@ -12,7 +12,9 @@
 /// so one constant pins them all. tests/CMakeLists.txt registers every
 /// golden suite twice against the same constants: `<binary>_golden` with
 /// TOFMCL_KERNEL=scalar and `<binary>_golden_default` on the default
-/// backend (AVX2 where the host has it). The digests depend on libm's
+/// backend (AVX2 where the host has it). Digests of dumps that no kernel
+/// computes (test_worldgen, test_map_mutation) run once, in their
+/// binary's main ctest entry. The digests depend on libm's
 /// float trig/exp, so they hold for the toolchain they came from: Debian
 /// glibc 2.36, GCC 12, x86-64.
 

@@ -250,9 +250,9 @@ TEST(Campaign, ObservationAxisBaselineRowsMatchNoAxisBitwise) {
 
 // Heavy-crowd campaign cell (5 crossing pedestrians, mixture + gating
 // axis): the engine's bit-exactness guarantee must hold through the new
-// observation code path for every thread count. The same battery backs
-// the cross-process determinism diff in CI (bench_campaign_throughput
-// --smoke --crowd --trace).
+// observation code path for every thread count. The same battery is the
+// `bench_campaign_throughput --smoke --crowd` smoke that
+// CampaignGolden.CrowdSmoke pins.
 TEST(Campaign, HeavyCrowdCellIsBitExactAcrossPolicies) {
   CampaignSpec spec;
   spec.worlds = {{CampaignWorld::kWarehouse, 0, 2}};

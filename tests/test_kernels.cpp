@@ -332,41 +332,6 @@ TEST(Kernels, AdaptiveShrinkAndSnapBackMatchScalar) {
   }
 }
 
-// Opt-in fp16 weight storage (MclConfig::weight_precision): the SIMD
-// round-trip (F16C on x86) must agree with the scalar software rounding
-// for every weight.
-TEST(Kernels, Fp16WeightPrecisionMatchesScalar) {
-  const auto backends = simd_backends();
-  if (backends.empty()) GTEST_SKIP() << "no SIMD backend on this host";
-  const auto grid = test_grid();
-  const map::QuantizedDistanceMap dm(grid, 1.5);
-  SerialExecutor exec;
-  MclConfig cfg = small_config(300);
-  cfg.weight_precision = WeightPrecision::kFp16;
-  const std::vector<Beam> beams{beam_at(0.0, 1.0), beam_at(0.3, 0.8),
-                                beam_at(-0.4, 1.3)};
-
-  for (const auto backend : backends) {
-    ParticleFilter<Fp32QmTraits> scalar_pf(dm, cfg, exec);
-    ParticleFilter<Fp32QmTraits> simd_pf(dm, cfg, exec);
-    simd_pf.set_kernel_backend(backend);
-    scalar_pf.init_gaussian({1.2, 1.4, 0.2}, 0.3, 0.5);
-    simd_pf.init_gaussian({1.2, 1.4, 0.2}, 0.3, 0.5);
-    for (int round = 0; round < 3; ++round) {
-      scalar_pf.motion_observation_update(Pose2{0.05, 0.0, 0.01}, beams);
-      simd_pf.motion_observation_update(Pose2{0.05, 0.0, 0.01}, beams);
-      expect_state_matches(scalar_pf, simd_pf, "fp16-store round");
-      // Every weight sits exactly on a binary16 value in BOTH filters.
-      for (const auto weight : simd_pf.soa().weight) {
-        const float w = static_cast<float>(weight);
-        EXPECT_EQ(w, half_bits_to_float(float_to_half_bits(w)));
-      }
-      scalar_pf.resample();
-      simd_pf.resample();
-    }
-  }
-}
-
 // Native fp16 particle storage (Fp16QmTraits): weights are halfs, the
 // SIMD path converts through F16C/software per block and must stay
 // within the half-ULP gate.
@@ -506,8 +471,7 @@ void expect_lut_of_every_cell(kernels::KernelBackend backend,
   std::vector<T> weight(x.size(), T(1.0f));
   const std::size_t handled = kernels::observation_sweep(
       backend, m, kernels::BeamSweepView{&kBeamAtOrigin, 1},
-      Spans{x.data(), y.data(), yaw.data(), weight.data()}, 0, x.size(),
-      false);
+      Spans{x.data(), y.data(), yaw.data(), weight.data()}, 0, x.size());
   ASSERT_EQ(handled, x.size()) << where;
   for (std::size_t i = 0; i < x.size(); ++i) {
     const std::uint8_t code =
@@ -563,7 +527,7 @@ TEST(Kernels, CodeGatherStaysInsideTheCodeArray) {
                   backend, m, kernels::BeamSweepView{&kBeamAtOrigin, 1},
                   kernels::SweepSpansF32{pos.data(), pos.data(), pos.data(),
                                          weight.data()},
-                  0, 8, false),
+                  0, 8),
               0u);
     EXPECT_EQ(weight, std::vector<float>(8, 1.0f));
   }

@@ -360,8 +360,6 @@ TEST(ScoringFingerprint, CoversEveryScoringField) {
       {"kld_z", [](MclConfig& m) { m.kld_z += 0.25; }},
       {"kld_bin_xy", [](MclConfig& m) { m.kld_bin_xy += 0.25; }},
       {"kld_bin_yaw", [](MclConfig& m) { m.kld_bin_yaw += 0.25; }},
-      {"weight_precision",
-       [](MclConfig& m) { m.weight_precision = WeightPrecision::kFp16; }},
       {"chunks", [](MclConfig& m) { m.chunks += 1; }},
   };
   const LocalizerConfig base;
@@ -377,10 +375,10 @@ TEST(ScoringFingerprint, CoversEveryScoringField) {
   knobs.mcl.num_particles += 1;
   EXPECT_EQ(scoring_fingerprint(knobs), key);
 
-  // 28 scoring fields + the two knobs. A new MclConfig field fails here
+  // 27 scoring fields + the two knobs. A new MclConfig field fails here
   // until it joins scoring_fingerprint and the table above.
-  EXPECT_EQ(std::size(scoring_fields), 28u);
-  EXPECT_EQ(member_count<MclConfig>(), 30u);
+  EXPECT_EQ(std::size(scoring_fields), 27u);
+  EXPECT_EQ(member_count<MclConfig>(), 29u);
 }
 
 }  // namespace

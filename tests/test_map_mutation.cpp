@@ -1,6 +1,6 @@
 // Tests for the stale-map mutation operators (sim::mutate_world):
 // determinism (same (env, config, seed) → byte-identical mutated world,
-// also across processes via the TOFMCL_MUTATION_TRACE hexfloat gate),
+// pinned to a committed digest of the hexfloat mutation_trace() dump),
 // the solid-interior invariant (mutated boxes stay Unknown inside, like
 // every generated solid region), tour flyability through the mutated
 // world, and the level-kNone bit-identity guarantee the campaign's
@@ -12,8 +12,11 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
+#include <string>
 
 #include "common/error.hpp"
+#include "golden_digest.hpp"
 #include "map/distance_map.hpp"
 #include "map/map_io.hpp"
 #include "plan/astar.hpp"
@@ -243,14 +246,16 @@ TEST(MapMutation, RejectsUnsafeConfigs) {
   EXPECT_THROW(mutate_world(bare, world.plans, {}, 1), PreconditionError);
 }
 
-// Cross-process determinism: dump every mutated coordinate as hexfloats
-// when TOFMCL_MUTATION_TRACE is set; CI runs this twice and byte-compares
-// the files (the TOFMCL_WORLDGEN_TRACE pattern).
-TEST(MapMutationDeterminism, HexfloatTrace) {
-  const char* path = std::getenv("TOFMCL_MUTATION_TRACE");
-  if (path == nullptr) GTEST_SKIP() << "TOFMCL_MUTATION_TRACE not set";
-  std::ofstream out(path);
-  ASSERT_TRUE(out.is_open()) << path;
+/// Names the file HexfloatTrace writes its mutation_trace() dump to; CI
+/// diffs the files of two processes.
+constexpr const char* kMutationTraceEnv = "TOFMCL_MUTATION_TRACE";
+
+/// Hexfloat dump of every mutated world (each kind at seed 12, each level,
+/// mutation seed 77): the summary counts, segments, solid regions and the
+/// rasterized grid. Both the cross-process trace file and the golden
+/// digest below are taken over exactly these bytes.
+std::string mutation_trace() {
+  std::ostringstream out;
   out << std::hexfloat;
   for (const GeneratedWorldKind kind : kKinds) {
     const GeneratedWorld world = base_world(kind, 12);
@@ -275,6 +280,24 @@ TEST(MapMutationDeterminism, HexfloatTrace) {
                      map::GridFormat::kV2);
     }
   }
+  return out.str();
+}
+
+// Golden digest (see golden_digest.hpp). No kernel code runs here, so it
+// runs once, in the main ctest entry.
+TEST(MapMutationDeterminism, TraceMatchesCommittedDigest) {
+  golden::expect_digest("map mutation trace", 0x847d6b02f79d5f6cull,
+                        mutation_trace);
+}
+
+// Cross-process determinism: writes mutation_trace() to the file named by
+// TOFMCL_MUTATION_TRACE when it is set.
+TEST(MapMutationDeterminism, HexfloatTrace) {
+  const char* path = std::getenv(kMutationTraceEnv);
+  if (path == nullptr) GTEST_SKIP() << kMutationTraceEnv << " not set";
+  std::ofstream out(path);
+  ASSERT_TRUE(out.is_open()) << path;
+  out << mutation_trace();
 }
 
 }  // namespace

@@ -21,8 +21,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -757,13 +755,9 @@ TEST(StaleMapStats, WarehouseLightStalenessIsSurvivable) {
   EXPECT_GE(o.baseline_fail, 1u) << "of " << o.seeds;
 }
 
-/// Names the file RepeatedRunsAreBitIdentical writes its scenario_trace()
-/// dump to; CI diffs the files of two processes.
-constexpr const char* kScenarioTraceEnv = "TOFMCL_SCENARIO_TRACE";
-
 /// Hexfloat dump of one scenario run: a header line, one line per error
-/// sample, then the final pose. Both the cross-process trace file and the
-/// golden digests below are taken over exactly these bytes.
+/// sample, then the final pose. The golden digests below are taken over
+/// exactly these bytes.
 std::string scenario_trace(const std::string& name, const ScenarioResult& r) {
   std::ostringstream out;
   out << std::hexfloat << name << " updates=" << r.updates_run << '\n';
@@ -777,21 +771,14 @@ std::string scenario_trace(const std::string& name, const ScenarioResult& r) {
 
 // Run-to-run determinism: the same scenario executed twice in the same
 // process yields a bitwise-identical trace (fixed seeds, no hidden global
-// state). For CROSS-process determinism, set TOFMCL_SCENARIO_TRACE to a
-// file path: the trace is written as hexfloats, and two invocations'
-// files must be byte-identical (diffed by CI).
+// state). Across processes, ScenarioGolden.SmallMazeGlobal pins the same
+// scenario's trace to a committed digest.
 TEST(ScenarioMatrixDeterminism, RepeatedRunsAreBitIdentical) {
   const Scenario s = scenario_matrix().front();
   core::SerialExecutor exec;
   const ScenarioResult first = run_scenario(s, exec);
   const ScenarioResult second = run_scenario(s, exec);
   expect_bit_identical(first, second, s.name + " repeat");
-
-  if (const char* path = std::getenv(kScenarioTraceEnv)) {
-    std::ofstream out(path);
-    ASSERT_TRUE(out.is_open()) << path;
-    out << scenario_trace(s.name, first);
-  }
 }
 
 // ---- Golden digests (ctest entry test_scenario_matrix_golden) ------------

@@ -3,10 +3,9 @@
 // drop-oldest semantics and backpressure signals, the Localizer's
 // asserted single-threaded contract and correction-timing hooks, and the
 // serial-vs-pooled determinism gate (bit-identical per-session correction
-// traces whatever the pump schedule — set TOFMCL_SERVE_TRACE to dump a
-// hexfloat trace for cross-process CI diffs), plus committed golden
-// digests of the serial trace and of the `bench_serving_latency --smoke`
-// battery (ServeGolden, ctest entry test_serve_golden).
+// traces whatever the pump schedule), plus committed golden digests of the
+// serial trace and of the `bench_serving_latency --smoke` battery
+// (ServeGolden, ctest entry test_serve_golden).
 //
 // The CI ThreadSanitizer job runs this binary: the pooled pumps below are
 // the cross-thread session-hopping pattern the SerialGuard's
@@ -18,7 +17,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -280,13 +278,9 @@ std::unique_ptr<SessionManager> run_maze_service(std::size_t threads,
   return mgr;
 }
 
-/// Names the file SerialAndPooledPumpsYieldBitIdenticalTraces writes its
-/// serve_trace() dump to; CI diffs the files of two processes.
-constexpr const char* kServeTraceEnv = "TOFMCL_SERVE_TRACE";
-
 /// Hexfloat dump of the first `sessions` sessions' correction traces, one
-/// line per correction. Both the cross-process trace file and the golden
-/// digest below are taken over exactly these bytes.
+/// line per correction. The golden digest below is taken over exactly
+/// these bytes.
 std::string serve_trace(const SessionManager& mgr, std::size_t sessions) {
   std::ostringstream out;
   out << std::hexfloat;
@@ -328,14 +322,6 @@ TEST(SessionManager, SerialAndPooledPumpsYieldBitIdenticalTraces) {
   ASSERT_GT(serial->session(1).trace().size(), 0u);
   EXPECT_NE(serial->session(0).trace().front().pose.position.x,
             serial->session(1).trace().front().pose.position.x);
-
-  // Cross-process determinism hook: dump the pooled traces for CI to diff
-  // between two independent test processes.
-  if (const char* path = std::getenv(kServeTraceEnv)) {
-    std::ofstream trace(path);
-    ASSERT_TRUE(trace) << "cannot open " << path;
-    trace << serve_trace(*pooled, kSessions);
-  }
 }
 
 // Golden digest (ctest entry test_serve_golden): pins the serial maze
@@ -893,6 +879,11 @@ TEST(SnapshotStore, FileBackedBlobsSurviveTheStoreInstance) {
     FileSnapshotStore first(dir);
     first.put(42, blob);
   }  // Store destroyed; only the file remains.
+  // Stems that parse as 42 but are not the store's spelling of it: the
+  // scan must leave them alone rather than index them under id 42.
+  for (const char* foreign : {"42.old.snap", "042.snap"}) {
+    std::ofstream(dir / foreign, std::ios::binary) << "not a snapshot blob";
+  }
   FileSnapshotStore second(dir);  // Adopts the existing blob on scan.
   EXPECT_EQ(second.count(), 1u);
   EXPECT_EQ(second.bytes(), blob.size());

@@ -1,5 +1,6 @@
 // Tests for the procedural world generators: determinism (same seed →
-// byte-identical world, also across processes via the hexfloat trace),
+// byte-identical world, pinned to a committed digest of the hexfloat
+// worldgen_trace() dump),
 // structural invariants (landmarks mutually reachable with drone-sized
 // clearance, flyable tour plans) and config validation.
 
@@ -10,8 +11,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "common/error.hpp"
+#include "golden_digest.hpp"
 #include "map/distance_map.hpp"
 #include "map/map_io.hpp"
 #include "plan/astar.hpp"
@@ -231,14 +234,16 @@ TEST(WorldGen, RejectsUnbuildableConfigs) {
                PreconditionError);
 }
 
-// Cross-process determinism: dump every generated coordinate as hexfloats
-// when TOFMCL_WORLDGEN_TRACE is set; CI runs this twice and byte-compares
-// the files (same pattern as the scenario-matrix trace).
-TEST(WorldGenDeterminism, HexfloatTrace) {
-  const char* path = std::getenv("TOFMCL_WORLDGEN_TRACE");
-  if (path == nullptr) GTEST_SKIP() << "TOFMCL_WORLDGEN_TRACE not set";
-  std::ofstream out(path);
-  ASSERT_TRUE(out.is_open()) << path;
+/// Names the file HexfloatTrace writes its worldgen_trace() dump to; CI
+/// diffs the files of two processes.
+constexpr const char* kWorldgenTraceEnv = "TOFMCL_WORLDGEN_TRACE";
+
+/// Hexfloat dump of every generated coordinate (segments, then each plan's
+/// start and path) and the rasterized grid of each kind at seed 12. Both
+/// the cross-process trace file and the golden digest below are taken over
+/// exactly these bytes.
+std::string worldgen_trace() {
+  std::ostringstream out;
   out << std::hexfloat;
   for (const GeneratedWorldKind kind : kKinds) {
     WorldGenConfig config;
@@ -259,6 +264,24 @@ TEST(WorldGenDeterminism, HexfloatTrace) {
         rasterize_environment(world.env, 0.05, 0.01);
     map::save_grid(grid, out, map::GridFormat::kV2);
   }
+  return out.str();
+}
+
+// Golden digest (see golden_digest.hpp). No kernel code runs here, so it
+// runs once, in the main ctest entry.
+TEST(WorldGenDeterminism, TraceMatchesCommittedDigest) {
+  golden::expect_digest("worldgen trace", 0x4c20c05a1feadcc6ull,
+                        worldgen_trace);
+}
+
+// Cross-process determinism: writes worldgen_trace() to the file named by
+// TOFMCL_WORLDGEN_TRACE when it is set.
+TEST(WorldGenDeterminism, HexfloatTrace) {
+  const char* path = std::getenv(kWorldgenTraceEnv);
+  if (path == nullptr) GTEST_SKIP() << kWorldgenTraceEnv << " not set";
+  std::ofstream out(path);
+  ASSERT_TRUE(out.is_open()) << path;
+  out << worldgen_trace();
 }
 
 }  // namespace
