@@ -1,5 +1,6 @@
-// Ablation bench: quantifies the design choices DESIGN.md calls out,
-// beyond the paper's own four variants.
+// Ablation bench: quantifies the library's design choices beyond the
+// paper's own four variants (MclConfig::scale_noise_with_motion states the
+// motion-noise trade-off that ablation A measures).
 //
 //   A. Motion-noise policy  — distance-scaled σ_odom (library default) vs
 //      the paper-literal fixed σ per motion update.
@@ -110,7 +111,7 @@ int main(int argc, char** argv) {
       "because corrections fire on zero-information ticks while noise\n"
       "accrues. The fixed-sigma (paper-literal) motion noise works at this\n"
       "particle count too — it trades hover stability for slightly faster\n"
-      "convergence; see DESIGN.md section 5.\n");
+      "convergence; see MclConfig::scale_noise_with_motion.\n");
 
   if (args.csv_dir) {
     table.write_csv(std::filesystem::path(*args.csv_dir) / "ablation.csv");

@@ -48,7 +48,7 @@ struct Args {
   std::size_t queue = 8;         ///< Session queue capacity.
   bool smoke = false;
   bool overload = false;
-  bool adaptive = false;         ///< ESS/KLD adaptive particle counts.
+  bool adaptive = false;         ///< KLD-adaptive particle counts.
   /// Idle deadline in pump generations; 0 disables the eviction tail.
   std::size_t evict_idle = 0;
   const char* json_path = nullptr;

@@ -109,7 +109,6 @@ struct FilterState {
   std::vector<SweepBeam> sweep_beams;
   /// Scratch: per-chunk weight sums of the current resample.
   std::vector<double> chunk_sums;
-  std::vector<double> chunk_sq_sums;
   std::array<double, kMaxChunks> chunk_prefix{};
   /// Scratch: packed occupancy-bin keys of the KLD adaptation pass.
   std::vector<std::int64_t> kld_keys;

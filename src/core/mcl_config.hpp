@@ -20,6 +20,44 @@ enum class Precision : std::uint8_t {
 
 const char* to_string(Precision p);
 
+/// Augmented-MCL recovery tuning (see MclConfig::enable_injection).
+/// Long-term likelihood decay.
+inline constexpr double kInjectionAlphaSlow = 0.05;
+/// Short-term likelihood decay.
+inline constexpr double kInjectionAlphaFast = 0.5;
+/// Cap on the injected share.
+inline constexpr double kInjectionMaxFraction = 0.05;
+
+/// KLD bound (see MclConfig::adaptive_particles):
+/// P(K(p̂‖p) ≤ ε) ≥ quantile(kKldZ). ε = 0.05 and z = 2.326 (99 %) are the
+/// values from Fox's evaluation.
+inline constexpr double kKldEpsilon = 0.05;
+inline constexpr double kKldZ = 2.326;
+/// Histogram bin sizes defining "occupied bins" k for the bound.
+inline constexpr double kKldBinXy = 0.5;
+inline constexpr double kKldBinYaw = 3.14159265358979323846 / 6.0;
+
+/// Novelty-gate fail-safe (see MclConfig::enable_novelty_gating) against
+/// total-occlusion deadlock: an update whose EVERY beam gates carries no
+/// evidence, so the monitor cannot dive and the (possibly stale) estimate
+/// stays concentrated — which would keep the gate armed forever, masking
+/// a kidnapping toward NEARER surfaces (every beam shorter than the stale
+/// expectation). After this many consecutive fully-gated corrections the
+/// gate stands down for the update, letting the raw evidence reach the
+/// weights and the monitor: a transient total occlusion costs a few
+/// floored corrections, a real teleport collapses w_fast and triggers
+/// recovery injection.
+inline constexpr std::size_t kNoveltyMaxBlindUpdates = 5;
+/// Novelty-gate arming criterion: yaw_concentration of the estimate must
+/// reach this. The yaw resultant length is deliberately used instead of
+/// position_stddev: recovery injection keeps a few percent of uniform
+/// redraws in the cloud at all times, which inflates the position
+/// variance far above any useful threshold (a 5 % uniform tail over a
+/// 9 m map adds ≈ 0.6 m of stddev) while shaving only that few percent
+/// off the resultant — concentration separates "tracking with a
+/// recovery tail" from "dispersed" where stddev cannot.
+inline constexpr double kNoveltyMinConcentration = 0.85;
+
 struct MclConfig {
   std::size_t num_particles = 4096;
 
@@ -70,32 +108,13 @@ struct MclConfig {
   /// product and therefore from the Augmented-MCL likelihood monitor, so
   /// a standing crowd or a pedestrian pacing the drone cannot trigger an
   /// injection storm. Gating arms only while the estimate is valid and
-  /// concentrated — a global-localization cloud has no trustworthy
-  /// expected ranges to gate against.
+  /// concentrated (kNoveltyMinConcentration) — a global-localization cloud
+  /// has no trustworthy expected ranges to gate against.
   bool enable_novelty_gating = false;
   /// A beam is gated when no mapped surface lies within measured range +
   /// margin along the ray. The margin absorbs estimate error, sensor noise
   /// and map error.
   double novelty_margin_m = 0.5;
-  /// Fail-safe against total-occlusion deadlock: an update whose EVERY
-  /// beam gates carries no evidence, so the monitor cannot dive and the
-  /// (possibly stale) estimate stays concentrated — which would keep the
-  /// gate armed forever, masking a kidnapping toward NEARER surfaces
-  /// (every beam shorter than the stale expectation). After this many
-  /// consecutive fully-gated corrections the gate stands down for the
-  /// update, letting the raw evidence reach the weights and the monitor:
-  /// a transient total occlusion costs a few floored corrections, a real
-  /// teleport collapses w_fast and triggers recovery injection.
-  std::size_t novelty_max_blind_updates = 5;
-  /// Arming criterion: yaw_concentration of the estimate must reach this.
-  /// The yaw resultant length is deliberately used instead of
-  /// position_stddev: recovery injection keeps a few percent of uniform
-  /// redraws in the cloud at all times, which inflates the position
-  /// variance far above any useful threshold (a 5 % uniform tail over a
-  /// 9 m map adds ≈ 0.6 m of stddev) while shaving only that few percent
-  /// off the resultant — concentration separates "tracking with a
-  /// recovery tail" from "dispersed" where stddev cannot.
-  double novelty_min_concentration = 0.85;
 
   /// EDT truncation radius (must match the distance map's rmax).
   double rmax = 1.5;
@@ -111,13 +130,6 @@ struct MclConfig {
   double gate_dxy = 0.1;
   double gate_dtheta = 0.1;
 
-  /// Adaptive resampling: resample only when the effective sample size
-  /// ESS = (Σw)²/Σw² falls below this fraction of N. The paper resamples
-  /// on every update (1.0); lower values preserve diversity between
-  /// informative updates at the cost of weight bookkeeping — provided as
-  /// an extension (see bench_ablation).
-  double resample_ess_fraction = 1.0;
-
   /// Augmented-MCL recovery (Probabilistic Robotics §8.3, the same
   /// foundation the paper cites for its observation model): during
   /// resampling a fraction of particles is replaced by uniform draws from
@@ -126,9 +138,6 @@ struct MclConfig {
   /// locked onto a wrong mode. This is what lets the estimate leave a
   /// wrong maze (paper Fig 1) instead of staying committed forever.
   bool enable_injection = true;
-  double injection_alpha_slow = 0.05;  ///< Long-term likelihood decay.
-  double injection_alpha_fast = 0.5;   ///< Short-term likelihood decay.
-  double injection_max_fraction = 0.05;  ///< Cap on the injected share.
 
   /// Adaptive particle counts (KLD-sampling, Fox 2001): after each real
   /// resampling draw the filter re-sizes its particle set to the KLD bound
@@ -144,13 +153,6 @@ struct MclConfig {
   /// Floor of the adaptive budget. Also the count a single-bin (fully
   /// converged) cloud settles at.
   std::size_t min_particles = 128;
-  /// KLD bound: P(K(p̂‖p) ≤ ε) ≥ quantile(kld_z). ε = 0.05 and
-  /// z = 2.326 (99 %) are the values from Fox's evaluation.
-  double kld_epsilon = 0.05;
-  double kld_z = 2.326;
-  /// Histogram bin sizes defining "occupied bins" k for the bound.
-  double kld_bin_xy = 0.5;
-  double kld_bin_yaw = 3.14159265358979323846 / 6.0;
 
   /// Master seed for all stochastic parts of the filter.
   std::uint64_t seed = 1;

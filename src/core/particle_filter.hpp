@@ -157,7 +157,6 @@ class ParticleFilter {
       st_.back_buffer.resize(config_.num_particles);
     }
     st_.chunk_sums.resize(config_.chunks);
-    st_.chunk_sq_sums.resize(config_.chunks);
     Rng master(config_.seed);
     st_.rngs.reserve(config_.chunks);
     for (std::size_t c = 0; c < config_.chunks; ++c) {
@@ -353,7 +352,7 @@ class ParticleFilter {
   /// Phase 3 — systematic resampling on the wheel (Fig 4). Per-chunk
   /// partial weight sums assign each chunk its own contiguous range of
   /// arrows; the outcome is identical to a serial systematic resampler
-  /// fed the same partial-sum prefix.
+  /// fed the same partial-sum prefix. Every weight is 1 afterwards.
   void resample() {
     const std::size_t n = st_.particles.size();
     const std::size_t chunks =
@@ -362,29 +361,23 @@ class ParticleFilter {
     last_resample_drew_ = false;
 
     // Step 1 (parallel): per-chunk weight sums — these are the partial
-    // sums the paper stores during weight normalization. The squared sums
-    // ride along for the effective-sample-size test.
+    // sums the paper stores during weight normalization.
     executor_->for_chunks(
         n, chunks, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
           double sum = 0.0;
-          double sum_sq = 0.0;
           for (std::size_t i = begin; i < end; ++i) {
             const double w = static_cast<double>(static_cast<float>(
                 st_.particles.weight[i]));
             sum += w;
-            sum_sq += w * w;
           }
           st_.chunk_sums[chunk] = sum;
-          st_.chunk_sq_sums[chunk] = sum_sq;
         });
 
     // Step 2 (serial, O(chunks)): prefix offsets and total mass.
     double total = 0.0;
-    double total_sq = 0.0;
     for (std::size_t c = 0; c < chunks; ++c) {
       st_.chunk_prefix[c] = total;
       total += st_.chunk_sums[c];
-      total_sq += st_.chunk_sq_sums[c];
     }
     if (!(total > 0.0) || !std::isfinite(total)) {
       // Degenerate weights (all zero/NaN): keep the particle set, reset
@@ -392,27 +385,6 @@ class ParticleFilter {
       std::fill(st_.particles.weight.begin(), st_.particles.weight.end(),
                 Scalar(1.0f));
       return;
-    }
-
-    // Adaptive resampling (extension): skip the draw while the effective
-    // sample size is healthy. Weights persist across updates; they are
-    // rescaled to mean 1 so repeated multiplication cannot underflow
-    // (which matters doubly for fp16 storage).
-    if (config_.resample_ess_fraction < 1.0 && total_sq > 0.0) {
-      const double ess = total * total / total_sq;
-      if (ess >= config_.resample_ess_fraction * static_cast<double>(n)) {
-        const float scale =
-            static_cast<float>(static_cast<double>(n) / total);
-        executor_->for_chunks(
-            n, chunks,
-            [&](std::size_t, std::size_t begin, std::size_t end) {
-              for (std::size_t i = begin; i < end; ++i) {
-                st_.particles.weight[i] = Scalar(
-                    static_cast<float>(st_.particles.weight[i]) * scale);
-              }
-            });
-        return;
-      }
     }
 
     // Augmented-MCL likelihood monitoring: compare the short- and
@@ -435,13 +407,13 @@ class ParticleFilter {
         st_.monitor.w_fast = w_avg;
       } else {
         st_.monitor.w_slow +=
-            config_.injection_alpha_slow * (w_avg - st_.monitor.w_slow);
+            kInjectionAlphaSlow * (w_avg - st_.monitor.w_slow);
         st_.monitor.w_fast +=
-            config_.injection_alpha_fast * (w_avg - st_.monitor.w_fast);
+            kInjectionAlphaFast * (w_avg - st_.monitor.w_fast);
       }
       if (st_.monitor.w_slow > 0.0) {
         inject_p = std::clamp(1.0 - st_.monitor.w_fast / st_.monitor.w_slow,
-                              0.0, config_.injection_max_fraction);
+                              0.0, kInjectionMaxFraction);
       }
       st_.monitor.last_inject_p = inject_p;
     }
@@ -623,6 +595,8 @@ class ParticleFilter {
     const std::size_t n = static_cast<std::size_t>(r.u64());
     TOFMCL_EXPECTS(n > 0 && n <= config_.num_particles,
                    "snapshot particle count outside [1, num_particles]");
+    TOFMCL_EXPECTS(config_.adaptive_particles || n == config_.num_particles,
+                   "fixed-count filter needs a snapshot of num_particles");
     TOFMCL_EXPECTS(r.u8() == sizeof(Scalar),
                    "snapshot scalar width does not match this precision");
     TOFMCL_EXPECTS(r.u32() == st_.rngs.size(),
@@ -729,18 +703,18 @@ class ParticleFilter {
   void prepare_beams(std::span<const sensor::Beam> beams) {
     // Concentration, not position_stddev: the recovery tail of injected
     // uniform particles inflates the position variance by construction
-    // (see MclConfig::novelty_min_concentration).
+    // (see kNoveltyMinConcentration).
     const bool want_gate =
         config_.enable_novelty_gating && st_.estimate.valid &&
-        st_.estimate.yaw_concentration >= config_.novelty_min_concentration;
+        st_.estimate.yaw_concentration >= kNoveltyMinConcentration;
     st_.workload.novelty_armed = want_gate;
 
-    // Blind-streak fail-safe (MclConfig::novelty_max_blind_updates): too
+    // Blind-streak fail-safe (kNoveltyMaxBlindUpdates): too
     // many consecutive fully-gated corrections means the gate is starving
     // the filter of evidence — stand down for this update so a kidnapping
     // toward nearer surfaces cannot hide behind its own gating.
     const bool gate =
-        want_gate && st_.blind_streak < config_.novelty_max_blind_updates;
+        want_gate && st_.blind_streak < kNoveltyMaxBlindUpdates;
 
     st_.sweep_beams.clear();
     const double est_yaw = st_.estimate.pose.yaw;
@@ -875,8 +849,8 @@ class ParticleFilter {
     keys.clear();
     const std::size_t n = st_.particles.size();
     keys.reserve(n);
-    const double inv_xy = 1.0 / config_.kld_bin_xy;
-    const double inv_yaw = 1.0 / config_.kld_bin_yaw;
+    const double inv_xy = 1.0 / kKldBinXy;
+    const double inv_yaw = 1.0 / kKldBinYaw;
     for (std::size_t i = 0; i < n; ++i) {
       const auto ix = static_cast<std::int64_t>(std::floor(
           static_cast<double>(static_cast<float>(st_.particles.x[i])) *
@@ -896,9 +870,8 @@ class ParticleFilter {
     if (k <= 1) return config_.min_particles;
     const double kd = static_cast<double>(k - 1);
     const double a = 2.0 / (9.0 * kd);
-    const double base = 1.0 - a + std::sqrt(a) * config_.kld_z;
-    const double bound =
-        kd / (2.0 * config_.kld_epsilon) * base * base * base;
+    const double base = 1.0 - a + std::sqrt(a) * kKldZ;
+    const double bound = kd / (2.0 * kKldEpsilon) * base * base * base;
     return static_cast<std::size_t>(std::ceil(bound));
   }
 
@@ -1079,8 +1052,8 @@ class ParticleFilter {
   BeamModelParams mixture_params_{};
   /// Everything the update cycle mutates (see filter_state.hpp).
   FilterState<Scalar> st_;
-  /// Whether the last resample() ran the systematic draw (weights are
-  /// uniformly 1 afterwards) — precondition of adapt_particle_count().
+  /// Whether the last resample() ran the systematic draw rather than the
+  /// degenerate-weight reset — precondition of adapt_particle_count().
   bool last_resample_drew_ = false;
   /// SIMD backend of the observation sweep (kernel_backend.hpp).
   kernels::KernelBackend backend_ = kernels::default_backend();

@@ -120,22 +120,12 @@ std::string scoring_fingerprint(const LocalizerConfig& config) {
   append(out, m.lambda_short);
   append(out, m.enable_novelty_gating);
   append(out, m.novelty_margin_m);
-  append(out, m.novelty_max_blind_updates);
-  append(out, m.novelty_min_concentration);
   append(out, m.rmax);
   append(out, m.gate_dxy);
   append(out, m.gate_dtheta);
-  append(out, m.resample_ess_fraction);
   append(out, m.enable_injection);
-  append(out, m.injection_alpha_slow);
-  append(out, m.injection_alpha_fast);
-  append(out, m.injection_max_fraction);
   append(out, m.adaptive_particles);
   append(out, m.min_particles);
-  append(out, m.kld_epsilon);
-  append(out, m.kld_z);
-  append(out, m.kld_bin_xy);
-  append(out, m.kld_bin_yaw);
   append(out, m.chunks);
   out += "prec:";
   out += to_string(config.precision);

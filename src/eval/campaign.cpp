@@ -442,7 +442,6 @@ CampaignRunResult Campaign::execute_run(const RunSpec& run) const {
     lc.mcl.lambda_short = obs.lambda_short;
     lc.mcl.enable_novelty_gating = obs.novelty_gating;
     lc.mcl.novelty_margin_m = obs.novelty_margin_m;
-    lc.mcl.novelty_min_concentration = obs.novelty_min_concentration;
   }
   lc.sensors = {gen.front_tof, gen.rear_tof};
 

@@ -128,7 +128,6 @@ struct ObservationSpec {
   double lambda_short = 1.0;  ///< Short-return decay rate (1/m).
   bool novelty_gating = false;
   double novelty_margin_m = 0.5;
-  double novelty_min_concentration = 0.85;
 };
 
 /// The campaign matrix. Every combination of the dimensions (times every

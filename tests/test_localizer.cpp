@@ -336,30 +336,14 @@ TEST(ScoringFingerprint, CoversEveryScoringField) {
          m.enable_novelty_gating = !m.enable_novelty_gating;
        }},
       {"novelty_margin_m", [](MclConfig& m) { m.novelty_margin_m += 0.25; }},
-      {"novelty_max_blind_updates",
-       [](MclConfig& m) { m.novelty_max_blind_updates += 1; }},
-      {"novelty_min_concentration",
-       [](MclConfig& m) { m.novelty_min_concentration += 0.25; }},
       {"rmax", [](MclConfig& m) { m.rmax += 0.25; }},
       {"gate_dxy", [](MclConfig& m) { m.gate_dxy += 0.25; }},
       {"gate_dtheta", [](MclConfig& m) { m.gate_dtheta += 0.25; }},
-      {"resample_ess_fraction",
-       [](MclConfig& m) { m.resample_ess_fraction += 0.25; }},
       {"enable_injection",
        [](MclConfig& m) { m.enable_injection = !m.enable_injection; }},
-      {"injection_alpha_slow",
-       [](MclConfig& m) { m.injection_alpha_slow += 0.25; }},
-      {"injection_alpha_fast",
-       [](MclConfig& m) { m.injection_alpha_fast += 0.25; }},
-      {"injection_max_fraction",
-       [](MclConfig& m) { m.injection_max_fraction += 0.25; }},
       {"adaptive_particles",
        [](MclConfig& m) { m.adaptive_particles = !m.adaptive_particles; }},
       {"min_particles", [](MclConfig& m) { m.min_particles += 1; }},
-      {"kld_epsilon", [](MclConfig& m) { m.kld_epsilon += 0.25; }},
-      {"kld_z", [](MclConfig& m) { m.kld_z += 0.25; }},
-      {"kld_bin_xy", [](MclConfig& m) { m.kld_bin_xy += 0.25; }},
-      {"kld_bin_yaw", [](MclConfig& m) { m.kld_bin_yaw += 0.25; }},
       {"chunks", [](MclConfig& m) { m.chunks += 1; }},
   };
   const LocalizerConfig base;
@@ -375,10 +359,10 @@ TEST(ScoringFingerprint, CoversEveryScoringField) {
   knobs.mcl.num_particles += 1;
   EXPECT_EQ(scoring_fingerprint(knobs), key);
 
-  // 27 scoring fields + the two knobs. A new MclConfig field fails here
+  // 17 scoring fields + the two knobs. A new MclConfig field fails here
   // until it joins scoring_fingerprint and the table above.
-  EXPECT_EQ(std::size(scoring_fields), 27u);
-  EXPECT_EQ(member_count<MclConfig>(), 29u);
+  EXPECT_EQ(std::size(scoring_fields), 17u);
+  EXPECT_EQ(member_count<MclConfig>(), 19u);
 }
 
 }  // namespace

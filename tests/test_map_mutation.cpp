@@ -10,8 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -246,14 +244,10 @@ TEST(MapMutation, RejectsUnsafeConfigs) {
   EXPECT_THROW(mutate_world(bare, world.plans, {}, 1), PreconditionError);
 }
 
-/// Names the file HexfloatTrace writes its mutation_trace() dump to; CI
-/// diffs the files of two processes.
-constexpr const char* kMutationTraceEnv = "TOFMCL_MUTATION_TRACE";
-
 /// Hexfloat dump of every mutated world (each kind at seed 12, each level,
 /// mutation seed 77): the summary counts, segments, solid regions and the
-/// rasterized grid. Both the cross-process trace file and the golden
-/// digest below are taken over exactly these bytes.
+/// rasterized grid. The golden digest below is taken over exactly these
+/// bytes.
 std::string mutation_trace() {
   std::ostringstream out;
   out << std::hexfloat;
@@ -288,16 +282,6 @@ std::string mutation_trace() {
 TEST(MapMutationDeterminism, TraceMatchesCommittedDigest) {
   golden::expect_digest("map mutation trace", 0x847d6b02f79d5f6cull,
                         mutation_trace);
-}
-
-// Cross-process determinism: writes mutation_trace() to the file named by
-// TOFMCL_MUTATION_TRACE when it is set.
-TEST(MapMutationDeterminism, HexfloatTrace) {
-  const char* path = std::getenv(kMutationTraceEnv);
-  if (path == nullptr) GTEST_SKIP() << kMutationTraceEnv << " not set";
-  std::ofstream out(path);
-  ASSERT_TRUE(out.is_open()) << path;
-  out << mutation_trace();
 }
 
 }  // namespace

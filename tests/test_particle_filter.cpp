@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <map>
+#include <vector>
 
 #include "common/stats.hpp"
 #include "map/rasterize.hpp"
@@ -302,10 +306,11 @@ TEST(ParticleFilter, ResampleHandlesDegenerateWeights) {
   SerialExecutor exec;
   ParticleFilter<Fp32Traits> pf(dm, small_config(64), exec);
   pf.init_gaussian({1.0, 1.0, 0.0}, 0.1, 0.1);
-  // Zero every weight through an impossible product is not reachable via
-  // the observation model (factors > 0); emulate by many updates with far
-  // beams — weights shrink but stay positive, resample must not crash and
-  // must keep the particle count.
+  // Injection armed, so the recovery monitor runs on every healthy draw.
+  const auto support = grid.free_cell_centers();
+  pf.set_injection_support(support, 0.025);
+  // Many updates with far beams: weights shrink but stay positive (every
+  // factor is > 0), resample must not crash and must keep the count.
   const std::array<Beam, 8> beams{beam_at(0, 3.9f), beam_at(0.3, 3.9f),
                                   beam_at(0.6, 3.9f), beam_at(0.9, 3.9f),
                                   beam_at(1.2, 3.9f), beam_at(1.5, 3.9f),
@@ -318,6 +323,29 @@ TEST(ParticleFilter, ResampleHandlesDegenerateWeights) {
   for (const auto x : pf.soa().x) {
     EXPECT_TRUE(std::isfinite(static_cast<float>(x)));
   }
+
+  // The observation model cannot zero every weight, so set them directly:
+  // all zero plus one NaN makes the total non-finite. The degenerate
+  // branch keeps every pose bit for bit, resets every weight to 1 and
+  // neither feeds the monitor nor injects.
+  auto& particles = pf.mutable_soa();
+  std::fill(particles.weight.begin(), particles.weight.end(), 0.0f);
+  particles.weight[17] = std::numeric_limits<float>::quiet_NaN();
+  const ParticleSoA<float> before = particles;
+  const InjectionMonitor monitor = pf.injection_monitor();
+  pf.resample();
+  const auto same_bits = [](const std::vector<float>& a,
+                            const std::vector<float>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+  };
+  EXPECT_TRUE(same_bits(pf.soa().x, before.x));
+  EXPECT_TRUE(same_bits(pf.soa().y, before.y));
+  EXPECT_TRUE(same_bits(pf.soa().yaw, before.yaw));
+  for (const float w : pf.soa().weight) EXPECT_EQ(w, 1.0f);
+  EXPECT_EQ(pf.injection_monitor().w_slow, monitor.w_slow);
+  EXPECT_EQ(pf.injection_monitor().w_fast, monitor.w_fast);
+  EXPECT_EQ(pf.injection_monitor().last_inject_p, 0.0);
 }
 
 TEST(ParticleFilter, PoseComputationWeightedMean) {
@@ -536,7 +564,7 @@ TEST(ParticleFilter, InjectionMonitorSurvives128Beams) {
     max_inject = std::max(max_inject, m.last_inject_p);
   }
   EXPECT_GT(max_inject, 0.0);
-  EXPECT_LE(max_inject, cfg.injection_max_fraction);
+  EXPECT_LE(max_inject, kInjectionMaxFraction);
 }
 
 // The fused kernel must stay bit-identical to the phased path with the
@@ -608,7 +636,7 @@ TEST(ParticleFilter, FusedMatchesPhasedAcrossGatingArming) {
 
   ParticleFilter<Fp32Traits> separate(dm, cfg, exec);
   ParticleFilter<Fp32Traits> fused(dm, cfg, exec);
-  // Yaw spread far beyond novelty_min_concentration, so the gate starts
+  // Yaw spread far beyond kNoveltyMinConcentration, so the gate starts
   // DISARMED and only arms once the evidence has concentrated the cloud.
   separate.init_gaussian({1.0, 1.0, 0.0}, 0.15, 1.2);
   fused.init_gaussian({1.0, 1.0, 0.0}, 0.15, 1.2);
@@ -764,14 +792,14 @@ TEST(ParticleFilter, GenuineKidnappingStillTriggersInjection) {
     pf.compute_pose();
   }
   EXPECT_GT(max_inject, 0.0);
-  EXPECT_LE(max_inject, cfg.injection_max_fraction);
+  EXPECT_LE(max_inject, kInjectionMaxFraction);
 }
 
 // The deadlock case of the previous test: a kidnapping toward NEARER
 // surfaces makes every beam read shorter than the stale expectation, so
 // the gate would exclude ALL of them — no evidence reaches the monitor,
 // the estimate stays concentrated, and the gate would stay armed forever.
-// The blind-streak fail-safe (novelty_max_blind_updates) must stand the
+// The blind-streak fail-safe (kNoveltyMaxBlindUpdates) must stand the
 // gate down after a bounded number of fully-gated corrections so the raw
 // mismatch reaches the weights and injection still fires.
 TEST(ParticleFilter, FullyGatedKidnappingStillTriggersInjection) {

@@ -820,6 +820,13 @@ TEST(SessionManager, AdaptiveSessionsShrinkResidentMemory) {
   // Both still localize: the last correction landed near ground truth's
   // vicinity (sanity, not an accuracy gate).
   EXPECT_TRUE(adaptive->session(0).localizer().estimate().valid);
+
+  // The two sessions share precision, budget, chunks and seed, so only
+  // the filter can refuse the shrunken blob: a fixed-count session must
+  // never run below its budget.
+  EXPECT_THROW(fixed->restore_session(0, adaptive->snapshot_session(0)),
+               PreconditionError);
+  EXPECT_EQ(fixed->report().active_particles, 1024u);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,8 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -234,14 +232,9 @@ TEST(WorldGen, RejectsUnbuildableConfigs) {
                PreconditionError);
 }
 
-/// Names the file HexfloatTrace writes its worldgen_trace() dump to; CI
-/// diffs the files of two processes.
-constexpr const char* kWorldgenTraceEnv = "TOFMCL_WORLDGEN_TRACE";
-
 /// Hexfloat dump of every generated coordinate (segments, then each plan's
-/// start and path) and the rasterized grid of each kind at seed 12. Both
-/// the cross-process trace file and the golden digest below are taken over
-/// exactly these bytes.
+/// start and path) and the rasterized grid of each kind at seed 12. The
+/// golden digest below is taken over exactly these bytes.
 std::string worldgen_trace() {
   std::ostringstream out;
   out << std::hexfloat;
@@ -272,16 +265,6 @@ std::string worldgen_trace() {
 TEST(WorldGenDeterminism, TraceMatchesCommittedDigest) {
   golden::expect_digest("worldgen trace", 0x4c20c05a1feadcc6ull,
                         worldgen_trace);
-}
-
-// Cross-process determinism: writes worldgen_trace() to the file named by
-// TOFMCL_WORLDGEN_TRACE when it is set.
-TEST(WorldGenDeterminism, HexfloatTrace) {
-  const char* path = std::getenv(kWorldgenTraceEnv);
-  if (path == nullptr) GTEST_SKIP() << kWorldgenTraceEnv << " not set";
-  std::ofstream out(path);
-  ASSERT_TRUE(out.is_open()) << path;
-  out << worldgen_trace();
 }
 
 }  // namespace
