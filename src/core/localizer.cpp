@@ -287,6 +287,14 @@ void Localizer::save_snapshot(map::SnapshotWriter& writer) const {
   std::visit([&](const auto& pf) { pf.save_state(writer); }, filter_);
 }
 
+std::size_t Localizer::snapshot_bytes() const {
+  // Magic, version, precision, budget, chunks, seed, pose flags, up to
+  // three odometry poses, two counters and two timings.
+  constexpr std::size_t kHeaderBytes = 4 + 2 + 1 + 3 * 8 + 1 + 3 * 24 + 4 * 8;
+  return kHeaderBytes +
+         std::visit([](const auto& pf) { return pf.state_bytes(); }, filter_);
+}
+
 void Localizer::load_snapshot(map::SnapshotReader& reader) {
   SerialGuard::Scope serial(serial_guard_);
   if (reader.u32() != kSnapshotMagic) {

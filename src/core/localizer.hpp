@@ -143,6 +143,8 @@ class Localizer {
   /// Shared state (maps, LUT, config) is NOT serialized: a snapshot is
   /// restored into a Localizer built from the same configuration.
   void save_snapshot(map::SnapshotWriter& writer) const;
+  /// Bytes save_snapshot() writes, at most (to size a blob up front).
+  std::size_t snapshot_bytes() const;
   /// Restores what save_snapshot wrote. Throws common::IoError on a bad
   /// magic/version or truncated blob, PreconditionError when the snapshot
   /// was taken under a different precision/budget/chunks/seed than this

@@ -581,10 +581,19 @@ class ParticleFilter {
     w.f64(st_.monitor.w_fast);
     w.f64(st_.monitor.last_inject_p);
     w.u64(st_.blind_streak);
-    write_array(w, st_.particles.x);
-    write_array(w, st_.particles.y);
-    write_array(w, st_.particles.yaw);
+    w.array(st_.particles.x);
+    w.array(st_.particles.y);
+    w.array(st_.particles.yaw);
     write_weights(w, st_.particles.weight);
+  }
+
+  /// Bytes save_state() writes, at most: exact unless the weights are one
+  /// constant run, which stores one scalar instead of n.
+  std::size_t state_bytes() const {
+    constexpr std::size_t kRngBytes = 4 * 8 + 8 + 1;
+    constexpr std::size_t kFixedBytes = 8 + 1 + 4 + 5 * 8 + 1 + 3 * 8 + 8 + 1;
+    return kFixedBytes + (st_.rngs.size() + 1) * kRngBytes +
+           4 * st_.particles.size() * sizeof(Scalar);
   }
 
   /// Restores what save_state() wrote, re-sizing the particle storage to
@@ -615,9 +624,9 @@ class ParticleFilter {
     st_.monitor.last_inject_p = r.f64();
     st_.blind_streak = static_cast<std::size_t>(r.u64());
     resize_storage(n);
-    read_array(r, st_.particles.x);
-    read_array(r, st_.particles.y);
-    read_array(r, st_.particles.yaw);
+    r.array(st_.particles.x);
+    r.array(st_.particles.y);
+    r.array(st_.particles.yaw);
     read_weights(r, st_.particles.weight);
     st_.workload = UpdateWorkload{};
     last_resample_drew_ = false;
@@ -960,30 +969,19 @@ class ParticleFilter {
     w.boolean(s.has_cached);
   }
 
+  /// Refuses the all-zero xoshiro state: it yields 0 forever, and
+  /// Rng::gaussians never accepts a polar candidate from it.
   static Rng read_rng(map::SnapshotReader& r) {
     Rng::Snapshot s;
     for (std::uint64_t& word : s.state) word = r.u64();
+    if (s.state == std::array<std::uint64_t, 4>{}) {
+      throw IoError("snapshot RNG state is all zero");
+    }
     s.cached = r.f64();
     s.has_cached = r.boolean();
     Rng rng(0);
     rng.restore(s);
     return rng;
-  }
-
-  static void write_scalar(map::SnapshotWriter& w, Scalar v) {
-    if constexpr (std::is_same_v<Scalar, Half>) {
-      w.u16(v.bits());
-    } else {
-      w.f32(v);
-    }
-  }
-
-  static Scalar read_scalar(map::SnapshotReader& r) {
-    if constexpr (std::is_same_v<Scalar, Half>) {
-      return Half::from_bits(r.u16());
-    } else {
-      return Scalar(r.f32());
-    }
   }
 
   static auto scalar_bits(Scalar v) {
@@ -992,15 +990,6 @@ class ParticleFilter {
     } else {
       return std::bit_cast<std::uint32_t>(v);
     }
-  }
-
-  static void write_array(map::SnapshotWriter& w,
-                          const std::vector<Scalar>& values) {
-    for (const Scalar v : values) write_scalar(w, v);
-  }
-
-  static void read_array(map::SnapshotReader& r, std::vector<Scalar>& values) {
-    for (Scalar& v : values) v = read_scalar(r);
   }
 
   /// Weights spend nearly all their life uniform — every resample that
@@ -1015,22 +1004,16 @@ class ParticleFilter {
           return scalar_bits(v) == scalar_bits(values.front());
         });
     w.u8(constant ? 1 : 0);
-    if (constant) {
-      write_scalar(w, values.front());
-    } else {
-      write_array(w, values);
-    }
+    w.array(std::span(values).first(constant ? 1 : values.size()));
   }
 
   static void read_weights(map::SnapshotReader& r,
                            std::vector<Scalar>& values) {
     const std::uint8_t flag = r.u8();
     TOFMCL_EXPECTS(flag <= 1, "snapshot weight encoding flag must be 0 or 1");
-    if (flag == 1) {
-      std::fill(values.begin(), values.end(), read_scalar(r));
-    } else {
-      read_array(r, values);
-    }
+    const bool constant = flag == 1;
+    r.array(std::span(values).first(constant ? 1 : values.size()));
+    if (constant) std::fill(values.begin() + 1, values.end(), values.front());
   }
 
   static float wrap_pi_f(float angle) {

@@ -1,63 +1,13 @@
 #include "map/snapshot_io.hpp"
 
-#include <bit>
-#include <cstring>
 #include <string>
 
 namespace tofmcl::map {
 
-void SnapshotWriter::u16(std::uint16_t v) {
-  u8(static_cast<std::uint8_t>(v & 0xFFu));
-  u8(static_cast<std::uint8_t>(v >> 8));
+void SnapshotReader::throw_truncated(std::size_t n) const {
+  throw IoError("snapshot truncated: need " + std::to_string(n) +
+                " bytes at offset " + std::to_string(pos_) + " of " +
+                std::to_string(bytes_.size()));
 }
-
-void SnapshotWriter::u32(std::uint32_t v) {
-  u16(static_cast<std::uint16_t>(v & 0xFFFFu));
-  u16(static_cast<std::uint16_t>(v >> 16));
-}
-
-void SnapshotWriter::u64(std::uint64_t v) {
-  u32(static_cast<std::uint32_t>(v & 0xFFFFFFFFu));
-  u32(static_cast<std::uint32_t>(v >> 32));
-}
-
-void SnapshotWriter::f32(float v) { u32(std::bit_cast<std::uint32_t>(v)); }
-
-void SnapshotWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
-void SnapshotReader::require(std::size_t n) const {
-  if (pos_ + n > bytes_.size()) {
-    throw IoError("snapshot truncated: need " + std::to_string(n) +
-                  " bytes at offset " + std::to_string(pos_) + " of " +
-                  std::to_string(bytes_.size()));
-  }
-}
-
-std::uint8_t SnapshotReader::u8() {
-  require(1);
-  return static_cast<std::uint8_t>(bytes_[pos_++]);
-}
-
-std::uint16_t SnapshotReader::u16() {
-  const std::uint16_t lo = u8();
-  const std::uint16_t hi = u8();
-  return static_cast<std::uint16_t>(lo | (hi << 8));
-}
-
-std::uint32_t SnapshotReader::u32() {
-  const std::uint32_t lo = u16();
-  const std::uint32_t hi = u16();
-  return lo | (hi << 16);
-}
-
-std::uint64_t SnapshotReader::u64() {
-  const std::uint64_t lo = u32();
-  const std::uint64_t hi = u32();
-  return lo | (hi << 32);
-}
-
-float SnapshotReader::f32() { return std::bit_cast<float>(u32()); }
-
-double SnapshotReader::f64() { return std::bit_cast<double>(u64()); }
 
 }  // namespace tofmcl::map

@@ -8,40 +8,62 @@
 /// where the snapshotted one left off. Decimal text round-trips cannot
 /// guarantee that for floats, so every float/double travels as its raw
 /// IEEE bit pattern (the binary equivalent of the repo's hexfloat trace
-/// convention), serialized byte-by-byte in little-endian order so blobs
-/// are portable across hosts regardless of native endianness.
+/// convention). Blobs are little-endian. Every target the repo builds is
+/// little-endian too (asserted below), so a value's native bytes are its
+/// blob bytes: each field, and each whole array, is appended or read in
+/// bulk, with one size check and one copy.
 ///
 /// The reader is defensive: every accessor bounds-checks and throws
 /// common::IoError on truncation, so a corrupt or version-skewed blob is
 /// rejected instead of read out of bounds. Version negotiation itself is
-/// the caller's job (check_magic/peek are provided for it).
+/// the caller's job.
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
+#include "fp16/half.hpp"
 
 namespace tofmcl::map {
+
+static_assert(std::endian::native == std::endian::little,
+              "snapshot blobs are little-endian and copied as native bytes");
+static_assert(sizeof(Half) == 2 && std::is_trivially_copyable_v<Half>,
+              "a Half travels as its two binary16 bytes");
 
 /// Append-only little-endian binary writer backing a snapshot blob.
 class SnapshotWriter {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(static_cast<std::byte>(v)); }
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
+  void u8(std::uint8_t v) { append(&v, sizeof v); }
+  void u16(std::uint16_t v) { append(&v, sizeof v); }
+  void u32(std::uint32_t v) { append(&v, sizeof v); }
+  void u64(std::uint64_t v) { append(&v, sizeof v); }
   /// Raw IEEE-754 bit patterns: exact round-trip by construction.
-  void f32(float v);
-  void f64(double v);
+  void f32(float v) { append(&v, sizeof v); }
+  void f64(double v) { append(&v, sizeof v); }
   void boolean(bool v) { u8(v ? 1 : 0); }
+  /// The values back to back, exactly as that many scalar calls write them.
+  void array(std::span<const float> v) { append(v.data(), v.size_bytes()); }
+  void array(std::span<const Half> v) { append(v.data(), v.size_bytes()); }
+  void array(std::span<const double> v) { append(v.data(), v.size_bytes()); }
 
+  /// Grows the capacity to hold `n` more bytes without reallocating.
+  void reserve(std::size_t n) { buf_.reserve(buf_.size() + n); }
   const std::vector<std::byte>& bytes() const { return buf_; }
   std::vector<std::byte> take() { return std::move(buf_); }
   std::size_t size() const { return buf_.size(); }
 
  private:
+  void append(const void* src, std::size_t n) {
+    const auto* p = static_cast<const std::byte*>(src);
+    buf_.insert(buf_.end(), p, p + n);
+  }
+
   std::vector<std::byte> buf_;
 };
 
@@ -51,20 +73,44 @@ class SnapshotReader {
  public:
   explicit SnapshotReader(std::span<const std::byte> bytes) : bytes_(bytes) {}
 
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  float f32();
-  double f64();
+  std::uint8_t u8() { return read<std::uint8_t>(); }
+  std::uint16_t u16() { return read<std::uint16_t>(); }
+  std::uint32_t u32() { return read<std::uint32_t>(); }
+  std::uint64_t u64() { return read<std::uint64_t>(); }
+  float f32() { return read<float>(); }
+  double f64() { return read<double>(); }
   bool boolean() { return u8() != 0; }
+  /// Fills `out` with what array() wrote for that many values.
+  void array(std::span<float> out) { copy(out.data(), out.size_bytes()); }
+  void array(std::span<Half> out) { copy(out.data(), out.size_bytes()); }
+  void array(std::span<double> out) { copy(out.data(), out.size_bytes()); }
 
   /// Bytes not yet consumed.
   std::size_t remaining() const { return bytes_.size() - pos_; }
   bool exhausted() const { return pos_ == bytes_.size(); }
 
  private:
-  void require(std::size_t n) const;
+  template <typename T>
+  T read() {
+    T v{};
+    copy(&v, sizeof v);
+    return v;
+  }
+
+  void copy(void* dst, std::size_t n) {
+    require(n);
+    // An empty array's data() may be null, which memcpy must not see.
+    if (n != 0) std::memcpy(dst, bytes_.data() + pos_, n);
+    pos_ += n;
+  }
+
+  /// Throws IoError unless `n` more bytes remain. Tested as n > size − pos:
+  /// an array's byte count can be large enough to wrap pos + n.
+  void require(std::size_t n) const {
+    if (n > remaining()) throw_truncated(n);
+  }
+
+  [[noreturn]] void throw_truncated(std::size_t n) const;
 
   std::span<const std::byte> bytes_;
   std::size_t pos_ = 0;

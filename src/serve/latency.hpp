@@ -10,6 +10,7 @@
 /// small enough that a lossy sketch is not worth its determinism caveats.
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 namespace tofmcl::serve {
@@ -32,6 +33,10 @@ struct LatencySummary {
 
 class LatencyRecorder {
  public:
+  LatencyRecorder() = default;
+  /// Holds `samples` as if each had been record()ed in order.
+  explicit LatencyRecorder(std::vector<double> samples)
+      : samples_(std::move(samples)) {}
   void record(double seconds) { samples_.push_back(seconds); }
   void merge(const LatencyRecorder& other);
   std::size_t count() const { return samples_.size(); }

@@ -10,6 +10,8 @@ namespace {
 
 constexpr std::uint32_t kSessionMagic = 0x53455353u;  // "SESS"
 constexpr std::uint16_t kSessionVersion = 1;
+/// Magic, version and the five u64 counters and record counts.
+constexpr std::size_t kHeaderBytes = 4 + 2 + 5 * 8;
 
 core::SessionKnobs knobs_of(const SessionOptions& opts) {
   core::SessionKnobs knobs;
@@ -72,10 +74,9 @@ Session::Session(std::size_t id, std::string map_key,
   corrections_ = reader.u64();
   processed_inputs_ = reader.u64();
   dropped_inputs_ = reader.u64();
-  const std::uint64_t latency_count = read_count(reader, 8, "latency sample");
-  for (std::uint64_t i = 0; i < latency_count; ++i) {
-    latency_.record(reader.f64());
-  }
+  std::vector<double> latencies(read_count(reader, 8, "latency sample"));
+  reader.array(latencies);
+  latency_ = LatencyRecorder(std::move(latencies));
   const std::uint64_t trace_count = read_count(reader, 32, "trace record");
   trace_.reserve(trace_count);
   for (std::uint64_t i = 0; i < trace_count; ++i) {
@@ -110,13 +111,15 @@ std::vector<std::byte> Session::snapshot() const {
     dropped = dropped_inputs_;
   }
   map::SnapshotWriter writer;
+  writer.reserve(kHeaderBytes + 8 * latency_.count() + 32 * trace_.size() +
+                 localizer_.snapshot_bytes());
   writer.u32(kSessionMagic);
   writer.u16(kSessionVersion);
   writer.u64(corrections_);
   writer.u64(processed_inputs_);
   writer.u64(dropped);
   writer.u64(latency_.count());
-  for (const double v : latency_.samples()) writer.f64(v);
+  writer.array(latency_.samples());
   writer.u64(trace_.size());
   for (const CorrectionRecord& rec : trace_) {
     writer.f64(rec.t);

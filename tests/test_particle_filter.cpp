@@ -854,5 +854,70 @@ TEST(ParticleFilter, WorkloadReported) {
   EXPECT_EQ(pf.workload().beams, 3u);
 }
 
+/// After an observation the weights are not one constant run, so the blob
+/// carries them as a full array (flag 0). The reloaded filter writes the
+/// same bytes again.
+template <typename Traits>
+void expect_uneven_weights_round_trip(const typename Traits::Map& m) {
+  SerialExecutor exec;
+  ParticleFilter<Traits> pf(m, small_config(64), exec);
+  pf.init_gaussian({1.0, 1.0, 0.0}, 0.3, 0.3);
+  const std::array<Beam, 2> beams{beam_at(0.0, 1.0), beam_at(1.0, 0.7)};
+  pf.observation_update(beams);
+  map::SnapshotWriter w;
+  pf.save_state(w);
+  const std::vector<std::byte> blob = w.take();
+  const std::size_t weight_bytes = 64 * sizeof(typename Traits::Scalar);
+  ASSERT_EQ(blob[blob.size() - weight_bytes - 1], std::byte{0});
+  EXPECT_EQ(blob.size(), pf.state_bytes());
+
+  ParticleFilter<Traits> reloaded(m, small_config(64), exec);
+  map::SnapshotReader r(blob);
+  reloaded.load_state(r);
+  EXPECT_TRUE(r.exhausted());
+  map::SnapshotWriter again;
+  reloaded.save_state(again);
+  EXPECT_EQ(again.bytes(), blob);
+}
+
+TEST(ParticleFilter, SaveLoadRoundTripsUnevenWeights) {
+  const auto grid = test_grid();
+  expect_uneven_weights_round_trip<Fp32Traits>(map::DistanceMap(grid, 1.5));
+  expect_uneven_weights_round_trip<Fp16QmTraits>(
+      map::QuantizedDistanceMap(grid, 1.5));
+}
+
+// A blob is untrusted input. The all-zero xoshiro state returns 0 forever,
+// from which Rng::gaussians never accepts a polar candidate, so the next
+// motion update would never return. load_state refuses it in a chunk's
+// stream and in the resample stream.
+TEST(ParticleFilter, LoadStateRefusesAnAllZeroRngState) {
+  const auto grid = test_grid();
+  const map::DistanceMap dm(grid, 1.5);
+  SerialExecutor exec;
+  const MclConfig cfg = small_config(64);
+  ParticleFilter<Fp32Traits> pf(dm, cfg, exec);
+  pf.init_gaussian({1.0, 1.0, 0.0}, 0.1, 0.1);
+  map::SnapshotWriter w;
+  pf.save_state(w);
+  const std::vector<std::byte> blob = w.take();
+
+  // The streams follow the particle count (u64), the scalar width (u8) and
+  // the stream count (u32): one per chunk, then the resample stream. Each
+  // is four u64 state words, the cached deviate (f64) and its flag (u8).
+  const auto state_at = [](std::size_t stream) { return 13 + 41 * stream; };
+  for (const std::size_t stream : {std::size_t{0}, cfg.chunks}) {
+    std::vector<std::byte> zeroed = blob;
+    std::fill_n(zeroed.begin() + state_at(stream), 32, std::byte{0});
+    ParticleFilter<Fp32Traits> restored(dm, cfg, exec);
+    map::SnapshotReader r(zeroed);
+    EXPECT_THROW(restored.load_state(r), IoError) << "stream " << stream;
+  }
+  ParticleFilter<Fp32Traits> restored(dm, cfg, exec);
+  map::SnapshotReader r(blob);
+  restored.load_state(r);
+  EXPECT_TRUE(r.exhausted());
+}
+
 }  // namespace
 }  // namespace tofmcl::core
