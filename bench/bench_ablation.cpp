@@ -3,14 +3,16 @@
 // motion-noise trade-off that ablation A measures).
 //
 //   A. Motion-noise policy  — distance-scaled σ_odom (library default) vs
-//      the paper-literal fixed σ per motion update.
+//      the paper-literal fixed σ_odom = 0.1 per motion update.
 //   B. Recovery injection   — Augmented-MCL injection on vs off.
-//   C. Beam extraction rows — both central rows (16 beams/sensor) vs one
-//      row (8 beams/sensor).
-//   D. Update gating        — paper gate (0.1 m / 0.1 rad) vs none.
+//   C. Random floor         — z_rand = 0.01 with z_hit = 0.99 (a nearly
+//      pure Gaussian) vs the default 0.1 / 0.9.
+//   D. Observation width    — σ_obs = 2.0 m (the paper's 2.0 read as
+//      meters) vs the default 0.1 m.
+//   E. Update gating        — paper gate (0.1 m / 0.1 rad) vs none.
 //
-// Each ablation reports success rate and ATE at 4096 particles (fp32qm)
-// over the standard sequences.
+// Each ablation, and the baseline with library defaults, reports success
+// rate and ATE at 4096 particles (fp32qm) over the standard sequences.
 
 #include <cstdio>
 #include <iostream>
@@ -49,7 +51,8 @@ AblationResult run_case(const eval::SweepConfig& base) {
 
 int main(int argc, char** argv) {
   const bench::BenchArgs args = bench::parse_args(
-      argc, argv, "Ablations — noise policy, injection, beams, gating");
+      argc, argv,
+      "Ablations — noise policy, injection, observation model, gating");
 
   eval::SweepConfig base;
   base.sequences = args.sequences;

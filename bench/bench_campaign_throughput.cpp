@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
                     sim::MutationLevel::kHeavy, 500}};
     spec.inits = {{eval::InitSpec::Mode::kTracking, 0.2, 0.2, 2}};
     spec.precisions = {core::Precision::kFp32Qm};
-    spec.observation = {{}, {0.5, 1.0, true, 0.5}};
+    spec.observation = {{}, {0.5, true}};
     spec.master_seed = 29;
   } else if (args.crowd) {
     // One warehouse aisle tour under a five-pedestrian crossing crowd,
@@ -193,7 +193,7 @@ int main(int argc, char** argv) {
     spec.inits = {{eval::InitSpec::Mode::kTracking, 0.2, 0.2, 2}};
     spec.precisions = {core::Precision::kFp32Qm};
     spec.sensing = {{sensor::ZoneMode::k8x8, 15.0, 0.01, true, 5, 1.0}};
-    spec.observation = {{}, {0.5, 1.0, true, 0.5}};
+    spec.observation = {{}, {0.5, true}};
     spec.master_seed = 23;
   } else if (args.worldgen) {
     spec.worlds = {{eval::CampaignWorld::kOffice, 0, 3},

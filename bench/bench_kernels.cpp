@@ -140,10 +140,7 @@ Entry run_variant(const Args& args, kernels::KernelBackend backend,
   const typename Traits::Map dmap(grid, 1.5);
   core::MclConfig cfg;
   cfg.num_particles = args.particles;
-  if (mixture) {
-    cfg.z_short = 0.4;
-    cfg.lambda_short = 1.3;
-  }
+  if (mixture) cfg.z_short = 0.4;
   core::SerialExecutor exec;
   core::ParticleFilter<Traits> pf(dmap, cfg, exec);
   pf.set_kernel_backend(backend);

@@ -52,8 +52,6 @@ struct BeamModelParams {
   /// front of the expected surface). 0 disables it — bit-identical to the
   /// two-term model of Eq. 1.
   float z_short = 0.0f;
-  /// Decay rate (1/m) of the short component over the measured range.
-  float lambda_short = 1.0f;
 };
 
 /// The beam-model slice of an MclConfig — the ONE conversion every filter,
@@ -63,8 +61,7 @@ inline BeamModelParams beam_model_params(const MclConfig& mcl) {
   return BeamModelParams{static_cast<float>(mcl.sigma_obs),
                          static_cast<float>(mcl.z_hit),
                          static_cast<float>(mcl.z_rand),
-                         static_cast<float>(mcl.z_short),
-                         static_cast<float>(mcl.lambda_short)};
+                         static_cast<float>(mcl.z_short)};
 }
 
 /// Map-distance part of the mixture: the per-particle factor for a metric
@@ -76,12 +73,14 @@ inline float beam_likelihood(float distance, const BeamModelParams& params) {
          params.z_rand;
 }
 
-/// Short-return component: z_short · exp(−λ·z) of the MEASURED range z.
-/// Constant across particles for one beam — it raises the floor of short
-/// returns (likely occluders) without touching the map-distance part.
+/// Short-return component: z_short · exp(−λ·z) of the MEASURED range z,
+/// λ = kLambdaShort. Constant across particles for one beam — it raises
+/// the floor of short returns (likely occluders) without touching the
+/// map-distance part.
 inline float short_return_floor(float range, const BeamModelParams& params) {
   if (params.z_short <= 0.0f) return 0.0f;
-  return params.z_short * std::exp(-params.lambda_short * range);
+  constexpr float kLambda = static_cast<float>(kLambdaShort);
+  return params.z_short * std::exp(-kLambda * range);
 }
 
 /// The full three-component mixture for one (map distance, measured range)
@@ -104,8 +103,8 @@ inline float beam_mixture_likelihood(float distance, float range,
 /// The table covers the MAP-DISTANCE part of the mixture only (hit + rand)
 /// — the short-return component depends on the measured range, not the map
 /// code, and is added per beam outside the table. One LikelihoodLut
-/// therefore serves every z_short/lambda_short setting that shares its
-/// (sigma_obs, z_hit, z_rand).
+/// therefore serves every z_short that shares its (sigma_obs, z_hit,
+/// z_rand).
 class LikelihoodLut {
  public:
   /// `step` is the meters-per-code of the quantized map.
@@ -113,8 +112,6 @@ class LikelihoodLut {
     TOFMCL_EXPECTS(step > 0.0f, "quantization step must be positive");
     TOFMCL_EXPECTS(params.sigma_obs > 0.0f, "sigma_obs must be positive");
     TOFMCL_EXPECTS(params.z_short >= 0.0f, "z_short must be non-negative");
-    TOFMCL_EXPECTS(params.lambda_short > 0.0f,
-                   "lambda_short must be positive");
     for (std::size_t code = 0; code < table_.size(); ++code) {
       const float d = map::QuantizedDistanceMap::reconstruct(
           static_cast<std::uint8_t>(code), step);

@@ -37,6 +37,16 @@ inline constexpr double kKldZ = 2.326;
 inline constexpr double kKldBinXy = 0.5;
 inline constexpr double kKldBinYaw = 3.14159265358979323846 / 6.0;
 
+/// Decay rate λ (1/m) of the short-return mixture component (see
+/// MclConfig::z_short).
+inline constexpr double kLambdaShort = 1.0;
+
+/// Novelty-gate margin (m, see MclConfig::enable_novelty_gating): a beam
+/// is gated when no mapped surface lies within measured range + margin
+/// along the ray. The margin absorbs estimate error, sensor noise and map
+/// error.
+inline constexpr double kNoveltyMargin = 0.5;
+
 /// Novelty-gate fail-safe (see MclConfig::enable_novelty_gating) against
 /// total-occlusion deadlock: an update whose EVERY beam gates carries no
 /// evidence, so the monitor cannot dive and the (possibly stale) estimate
@@ -84,9 +94,9 @@ struct MclConfig {
   double sigma_obs = 0.1;
 
   /// Mixture weights of the beam end-point model (paper reference [20]):
-  /// likelihood = z_hit·exp(−d²/2σ²) + z_rand + z_short·exp(−λ·z). The
-  /// z_rand floor absorbs unexplained beams (interference, map error,
-  /// dynamics).
+  /// likelihood = z_hit·exp(−d²/2σ²) + z_rand + z_short·exp(−λ·z), with
+  /// λ = kLambdaShort. The z_rand floor absorbs unexplained beams
+  /// (interference, map error, dynamics).
   double z_hit = 0.9;
   double z_rand = 0.1;
 
@@ -97,24 +107,18 @@ struct MclConfig {
   /// (≈ 0.3–0.6) for dynamic-obstacle regimes: a short return's mismatch
   /// penalty is softened instead of being paid at the flat z_rand floor.
   double z_short = 0.0;
-  /// Decay rate λ (1/m) of the short component.
-  double lambda_short = 1.0;
 
   /// Per-beam novelty gating (floor-plan localization under dynamics,
   /// Zimmerman et al., arXiv:2310.12536): once the filter tracks
   /// confidently, beams whose measured range is SHORTER than any mapped
-  /// surface along the beam from the estimated pose (by more than the
-  /// margin) are un-mapped occluders; they are excluded from the weight
-  /// product and therefore from the Augmented-MCL likelihood monitor, so
-  /// a standing crowd or a pedestrian pacing the drone cannot trigger an
-  /// injection storm. Gating arms only while the estimate is valid and
+  /// surface along the beam from the estimated pose (by more than
+  /// kNoveltyMargin) are un-mapped occluders; they are excluded from the
+  /// weight product and therefore from the Augmented-MCL likelihood
+  /// monitor, so a standing crowd or a pedestrian pacing the drone cannot
+  /// trigger an injection storm. Gating arms only while the estimate is valid and
   /// concentrated (kNoveltyMinConcentration) — a global-localization cloud
   /// has no trustworthy expected ranges to gate against.
   bool enable_novelty_gating = false;
-  /// A beam is gated when no mapped surface lies within measured range +
-  /// margin along the ray. The margin absorbs estimate error, sensor noise
-  /// and map error.
-  double novelty_margin_m = 0.5;
 
   /// EDT truncation radius (must match the distance map's rmax).
   double rmax = 1.5;

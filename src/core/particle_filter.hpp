@@ -142,8 +142,6 @@ class ParticleFilter {
     TOFMCL_EXPECTS(config.z_hit + config.z_rand > 0.0,
                    "z_hit + z_rand must be positive");
     TOFMCL_EXPECTS(config.z_short >= 0.0, "z_short must be non-negative");
-    TOFMCL_EXPECTS(config.lambda_short > 0.0,
-                   "lambda_short must be positive");
     mixture_params_ = beam_model_params(config_);
     if (arena_) {
       st_.particles = arena_->template acquire<Scalar>(config_.num_particles,
@@ -746,7 +744,7 @@ class ParticleFilter {
             st_.estimate.pose.y() + gs * ox_b + gc * oy_b};
         const Vec2 dir{gc * ca - gs * sa, gs * ca + gc * sa};
         if (!map_surface_within(origin, dir,
-                                range + config_.novelty_margin_m)) {
+                                range + kNoveltyMargin)) {
           // The map expects free space well past the measured range: the
           // return bounced off something the map does not know.
           ++st_.workload.gated_beams;

@@ -117,9 +117,7 @@ std::string scoring_fingerprint(const LocalizerConfig& config) {
   append(out, m.z_hit);
   append(out, m.z_rand);
   append(out, m.z_short);
-  append(out, m.lambda_short);
   append(out, m.enable_novelty_gating);
-  append(out, m.novelty_margin_m);
   append(out, m.rmax);
   append(out, m.gate_dxy);
   append(out, m.gate_dtheta);

@@ -92,9 +92,9 @@ class ScoringContext {
   /// Throws PreconditionError unless the map has free cells,
   /// maps->rmax == config.mcl.rmax, the EDT for config.precision is
   /// present, and for the *qm precisions the LUT exists and was built for
-  /// the config's (sigma_obs, z_hit, z_rand); z_short / lambda_short may
-  /// differ, because the table covers hit + rand only. Then defaults an
-  /// empty sensor deck. Called by build_scoring_context.
+  /// the config's (sigma_obs, z_hit, z_rand); z_short may differ, because
+  /// the table covers hit + rand only. Then defaults an empty sensor deck.
+  /// Called by build_scoring_context.
   ScoringContext(std::shared_ptr<const MapResources> maps,
                  LocalizerConfig config, std::shared_ptr<ParticleArena> arena);
 

@@ -439,9 +439,7 @@ CampaignRunResult Campaign::execute_run(const RunSpec& run) const {
   if (!spec_.observation.empty()) {
     const ObservationSpec& obs = spec_.observation[run.observation_index];
     lc.mcl.z_short = obs.z_short;
-    lc.mcl.lambda_short = obs.lambda_short;
     lc.mcl.enable_novelty_gating = obs.novelty_gating;
-    lc.mcl.novelty_margin_m = obs.novelty_margin_m;
   }
   lc.sensors = {gen.front_tof, gen.rear_tof};
 

@@ -124,10 +124,8 @@ struct SensingSpec {
 /// entry rides on the same generated flights — paired A/B comparisons of
 /// the robustness mechanisms against identical data and filter seeds).
 struct ObservationSpec {
-  double z_short = 0.0;       ///< Short-return mixture weight.
-  double lambda_short = 1.0;  ///< Short-return decay rate (1/m).
+  double z_short = 0.0;  ///< Short-return mixture weight.
   bool novelty_gating = false;
-  double novelty_margin_m = 0.5;
 };
 
 /// The campaign matrix. Every combination of the dimensions (times every

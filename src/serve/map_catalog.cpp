@@ -4,27 +4,19 @@
 
 namespace tofmcl::serve {
 
-namespace {
-
-/// The keyed once-map shared by resources and contexts: the winner of the
-/// insert builds OUTSIDE the lock, everyone else waits on its future, and
-/// a failed build erases its own entry so a later request retries.
-template <typename T>
-T get_or_build_once(std::mutex& mutex,
-                    std::map<std::string, std::shared_future<T>>& built,
-                    const std::string& key,
-                    const std::function<T()>& build) {
-  std::promise<T> promise;
-  std::shared_future<T> future;
+MapCatalog::Context MapCatalog::get_or_build_context(
+    const std::string& key, const ContextBuilder& build) {
+  std::promise<Context> promise;
+  std::shared_future<Context> future;
   bool winner = false;
   {
-    std::lock_guard<std::mutex> lock(mutex);
-    const auto it = built.find(key);
-    if (it != built.end()) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = contexts_.find(key);
+    if (it != contexts_.end()) {
       future = it->second;
     } else {
       future = promise.get_future().share();
-      built.emplace(key, future);
+      contexts_.emplace(key, future);
       winner = true;
     }
   }
@@ -36,32 +28,14 @@ T get_or_build_once(std::mutex& mutex,
   } catch (...) {
     promise.set_exception(std::current_exception());
     {
-      std::lock_guard<std::mutex> lock(mutex);
-      // Forget the failed attempt so the next request retries. Only erase
-      // our own future: a retry may already have replaced the entry.
-      const auto it = built.find(key);
-      if (it != built.end()) built.erase(it);
+      std::lock_guard<std::mutex> lock(mutex_);
+      // Forget the failed attempt so the next request retries. The entry
+      // is still ours: only the winner of its insert ever erases it.
+      contexts_.erase(key);
     }
     future.get();  // Rethrows for this caller too.
   }
   return future.get();
-}
-
-}  // namespace
-
-MapCatalog::Resources MapCatalog::get_or_build(const std::string& key,
-                                               const Builder& build) {
-  return get_or_build_once(mutex_, built_, key, build);
-}
-
-MapCatalog::Context MapCatalog::get_or_build_context(
-    const std::string& key, const ContextBuilder& build) {
-  return get_or_build_once(mutex_, contexts_, key, build);
-}
-
-std::size_t MapCatalog::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return built_.size();
 }
 
 std::size_t MapCatalog::context_count() const {

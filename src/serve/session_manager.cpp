@@ -39,27 +39,13 @@ SessionManager::Slot& SessionManager::slot_locked(
   return *shard.slots[index];
 }
 
-void SessionManager::define_map(const std::string& key,
-                                map::OccupancyGrid grid,
-                                const core::MclConfig& mcl,
-                                std::vector<core::Precision> precisions) {
-  TOFMCL_EXPECTS(!precisions.empty(),
-                 "a map definition needs at least one precision");
+void SessionManager::define_map(
+    const std::string& key, std::shared_ptr<const core::MapResources> maps) {
+  TOFMCL_EXPECTS(maps != nullptr, "map resources must be non-null");
   std::lock_guard<std::mutex> lock(defs_mutex_);
   TOFMCL_EXPECTS(definitions_.find(key) == definitions_.end(),
                  "map key already defined");
-  definitions_.emplace(key, MapDefinition{std::move(grid), mcl,
-                                          std::move(precisions), nullptr});
-}
-
-void SessionManager::define_map(const std::string& key,
-                                MapCatalog::Resources maps) {
-  TOFMCL_EXPECTS(maps != nullptr, "prebuilt map resources must be non-null");
-  std::lock_guard<std::mutex> lock(defs_mutex_);
-  TOFMCL_EXPECTS(definitions_.find(key) == definitions_.end(),
-                 "map key already defined");
-  definitions_.emplace(
-      key, MapDefinition{std::nullopt, {}, {}, std::move(maps)});
+  definitions_.emplace(key, std::move(maps));
 }
 
 bool SessionManager::has_map(const std::string& key) const {
@@ -69,21 +55,13 @@ bool SessionManager::has_map(const std::string& key) const {
 
 std::size_t SessionManager::open_session(const std::string& map_key,
                                          const SessionOptions& opts) {
-  const MapDefinition* def = nullptr;
+  std::shared_ptr<const core::MapResources> maps;
   {
     std::lock_guard<std::mutex> lock(defs_mutex_);
     const auto it = definitions_.find(map_key);
     TOFMCL_EXPECTS(it != definitions_.end(), "unknown map key");
-    // Definitions are insert-only, so the pointer stays valid outside
-    // the lock while the (possibly slow) resource build runs.
-    def = &it->second;
+    maps = it->second;
   }
-  auto maps = catalog_.get_or_build(map_key, [def] {
-    if (def->prebuilt) return def->prebuilt;
-    return core::build_map_resources(
-        *def->grid, def->mcl,
-        std::span<const core::Precision>(def->precisions));
-  });
   // One ScoringContext per (map, scoring fingerprint): sessions that
   // differ only in SessionKnobs (seed, particle budget — excluded from
   // the fingerprint) share it, and with it the per-map particle arena.
@@ -263,10 +241,13 @@ void SessionManager::restore_session(std::size_t session_id,
     TOFMCL_EXPECTS(!slot.live->has_pending(),
                    "cannot restore over pending inputs (pump first)");
   }
+  // Build from the blob before touching the store: a rejected blob must
+  // leave an evicted session's stashed snapshot in place.
+  auto restored = std::make_unique<Session>(session_id, slot.map_key,
+                                            slot.ctx, slot.opts, blob);
   // An explicit restore supersedes whatever eviction stashed.
   store_->take(session_id);
-  slot.live = std::make_unique<Session>(session_id, slot.map_key, slot.ctx,
-                                        slot.opts, blob);
+  slot.live = std::move(restored);
   slot.idle_pumps = 0;
   slot.retained_corrections = 0;
   slot.retained_processed = 0;

@@ -5,19 +5,21 @@
 /// The SessionManager is the serving layer's front door:
 ///
 ///   serve::SessionManager mgr({.threads = 8, .shards = 8});
-///   mgr.define_map("office", grid, mcl, {Precision::kFp32Qm});
+///   const core::Precision precisions[] = {core::Precision::kFp32Qm};
+///   mgr.define_map("office",
+///                  core::build_map_resources(grid, mcl, precisions));
 ///   const auto id = mgr.open_session("office", opts);
 ///   mgr.push(id, {t, odom, frames});   // any thread, backpressure out
 ///   mgr.pump();                        // drains every session's backlog
 ///   const auto report = mgr.report();  // p50/p99/p999, corrections/s
 ///
-/// Maps are defined once and built lazily through the MapCatalog on the
-/// first session that needs them — concurrent opens of the same map get
-/// the SAME immutable core::MapResources (one EDT/LUT in memory however
-/// many thousand sessions share the map). On top of the resources the
-/// catalog caches one core::ScoringContext per (map, scoring fingerprint):
-/// sessions differing only in SessionKnobs (seed, particle budget) share
-/// one context and lease their SoA particle blocks from its arena.
+/// Maps are defined once, with their prebuilt core::MapResources: every
+/// session on a map shares that one immutable object (one EDT/LUT in
+/// memory however many thousand sessions share the map). On top of the
+/// resources the MapCatalog builds one core::ScoringContext per (map,
+/// scoring fingerprint) on the first open that needs it: sessions
+/// differing only in SessionKnobs (seed, particle budget) share one
+/// context and lease their SoA particle blocks from its arena.
 ///
 /// SHARDING: slot state is split into `shards` independent shards —
 /// session id `i` lives in shard `i % shards` (ids are dense; the slot
@@ -63,13 +65,11 @@
 #include <cstddef>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/thread_pool.hpp"
-#include "map/occupancy_grid.hpp"
 #include "serve/map_catalog.hpp"
 #include "serve/session.hpp"
 #include "serve/snapshot_store.hpp"
@@ -143,19 +143,11 @@ class SessionManager {
  public:
   explicit SessionManager(ServeOptions opts);
 
-  /// Registers a map under `key`. The expensive resources (EDT, LUT) are
-  /// NOT built here — the first open_session on the key builds them, once,
-  /// however many sessions race for it. `mcl` supplies rmax and the
-  /// beam-model parameters baked into the shared LUT; `precisions` selects
-  /// which distance representations to build.
-  void define_map(const std::string& key, map::OccupancyGrid grid,
-                  const core::MclConfig& mcl,
-                  std::vector<core::Precision> precisions);
-
-  /// Registers already-built resources under `key` (e.g. exported from an
-  /// eval::Campaign, which did the expensive build once). Sessions on the
-  /// key share exactly this object.
-  void define_map(const std::string& key, MapCatalog::Resources maps);
+  /// Registers built resources under `key` (from core::build_map_resources,
+  /// or exported from an eval::Campaign, which did the expensive build
+  /// once). Sessions on the key share exactly this object.
+  void define_map(const std::string& key,
+                  std::shared_ptr<const core::MapResources> maps);
 
   /// True when `key` is already defined. Callers replaying several
   /// sources that share one world use this to define each key once
@@ -163,9 +155,9 @@ class SessionManager {
   bool has_map(const std::string& key) const;
 
   /// Opens a session on a defined map and returns its id. Thread-safe;
-  /// concurrent opens of one map share a single resource build and a
-  /// single scoring context (keyed by map + scoring fingerprint). Ids are
-  /// dense and round-robin across shards.
+  /// concurrent opens of one map share a single scoring context (keyed by
+  /// map + scoring fingerprint), built once. Ids are dense and round-robin
+  /// across shards.
   std::size_t open_session(const std::string& map_key,
                            const SessionOptions& opts);
 
@@ -192,7 +184,9 @@ class SessionManager {
 
   /// Replaces a session's state with `blob` (from snapshot_session or an
   /// external store), whether the session is currently live or evicted.
-  /// Any blob stashed for the id is discarded. Call between pumps.
+  /// Any blob stashed for the id is discarded. A rejected blob (IoError
+  /// for a malformed one) throws and leaves the session, and its stash,
+  /// as they were. Call between pumps.
   void restore_session(std::size_t session_id,
                        std::span<const std::byte> blob);
 
@@ -230,15 +224,6 @@ class SessionManager {
   ServeReport report() const;
 
  private:
-  struct MapDefinition {
-    /// Grid-based definition (built lazily, once, via the catalog)...
-    std::optional<map::OccupancyGrid> grid;
-    core::MclConfig mcl;
-    std::vector<core::Precision> precisions;
-    /// ...or prebuilt resources handed in directly (non-null wins).
-    MapCatalog::Resources prebuilt;
-  };
-
   /// One session id's slot for the whole manager lifetime. `live` is null
   /// while the session is evicted; the retained_* fields then carry its
   /// stats so report() stays complete. All fields are guarded by the
@@ -292,7 +277,8 @@ class SessionManager {
   std::shared_ptr<SnapshotStore> store_;
 
   mutable std::mutex defs_mutex_;  ///< Guards definitions_ (insert-only).
-  std::map<std::string, MapDefinition> definitions_;
+  std::map<std::string, std::shared_ptr<const core::MapResources>>
+      definitions_;
 
   std::vector<std::unique_ptr<Shard>> shards_;  ///< Fixed at construction.
   std::atomic<std::size_t> next_id_{0};

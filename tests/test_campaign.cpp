@@ -212,7 +212,7 @@ TEST(Campaign, ObservationAxisBaselineRowsMatchNoAxisBitwise) {
   with_axis.seeds_per_cell = 2;
   with_axis.observation = {
       {},  // entry 0: the seed model (z_short = 0, gating off)
-      {0.5, 1.0, true, 0.5}};
+      {0.5, true}};
   Campaign campaign(with_axis);
   const CampaignResult both = campaign.run({});
   ASSERT_EQ(both.runs.size(), 2 * ref.runs.size());
@@ -259,7 +259,7 @@ TEST(Campaign, HeavyCrowdCellIsBitExactAcrossPolicies) {
   spec.inits = {{InitSpec::Mode::kTracking, 0.2, 0.2, 2}};
   spec.precisions = {core::Precision::kFp32Qm};
   spec.sensing = {{sensor::ZoneMode::k8x8, 15.0, 0.01, true, 5, 1.0}};
-  spec.observation = {{}, {0.5, 1.0, true, 0.5}};
+  spec.observation = {{}, {0.5, true}};
   spec.mcl.num_particles = 1024;
   spec.master_seed = 23;
   const CampaignResult a = run_thread_count_invariant(spec, 4, "heavy crowd");
@@ -352,7 +352,7 @@ TEST(Campaign, StaleCampaignIsBitExactAcrossPolicies) {
                   sim::MutationLevel::kHeavy, 500}};
   spec.inits = {{InitSpec::Mode::kTracking, 0.2, 0.2, 2}};
   spec.precisions = {core::Precision::kFp32Qm};
-  spec.observation = {{}, {0.5, 1.0, true, 0.5}};
+  spec.observation = {{}, {0.5, true}};
   spec.mcl.num_particles = 512;
   spec.master_seed = 29;
   const CampaignResult a = run_thread_count_invariant(spec, 4, "stale");
@@ -488,7 +488,7 @@ TEST(CampaignGolden, CrowdSmoke) {
     spec.inits = {{InitSpec::Mode::kTracking, 0.2, 0.2, 2}};
     spec.precisions = {core::Precision::kFp32Qm};
     spec.sensing = {{sensor::ZoneMode::k8x8, 15.0, 0.01, true, 5, 1.0}};
-    spec.observation = {{}, {0.5, 1.0, true, 0.5}};
+    spec.observation = {{}, {0.5, true}};
     spec.master_seed = 23;
     return campaign_trace(run_smoke(std::move(spec), 2));
   });
@@ -504,7 +504,7 @@ TEST(CampaignGolden, StaleSmoke) {
                     sim::MutationLevel::kHeavy, 500}};
     spec.inits = {{InitSpec::Mode::kTracking, 0.2, 0.2, 2}};
     spec.precisions = {core::Precision::kFp32Qm};
-    spec.observation = {{}, {0.5, 1.0, true, 0.5}};
+    spec.observation = {{}, {0.5, true}};
     spec.master_seed = 29;
     return campaign_trace(run_smoke(std::move(spec), 6));
   });

@@ -240,7 +240,6 @@ TEST(Kernels, MixtureAndGatingMatchScalar) {
   SerialExecutor exec;
   MclConfig cfg = small_config(333);
   cfg.z_short = 0.4;
-  cfg.lambda_short = 1.3;
   cfg.enable_novelty_gating = true;
   const std::vector<Beam> beams{beam_at(0.0, 1.0), beam_at(0.0, 0.3),
                                 beam_at(kPi, 0.9)};

@@ -119,15 +119,14 @@ TEST(LikelihoodLut, RejectsInvalidParameters) {
 // ---- Short-return mixture properties -------------------------------------
 
 /// Randomized mixture configurations for the property tests below. The
-/// draws cover the regimes the campaigns sweep: sharp-to-flat sigma,
-/// arbitrary (z_hit, z_rand, z_short) weights, decay rates around 1/m.
+/// draws cover the regimes the campaigns sweep: sharp-to-flat sigma and
+/// arbitrary (z_hit, z_rand, z_short) weights.
 BeamModelParams random_params(Rng& rng) {
   BeamModelParams p;
   p.sigma_obs = static_cast<float>(rng.uniform(0.05, 0.5));
   p.z_hit = static_cast<float>(rng.uniform(0.1, 1.0));
   p.z_rand = static_cast<float>(rng.uniform(0.01, 0.5));
   p.z_short = static_cast<float>(rng.uniform(0.0, 0.8));
-  p.lambda_short = static_cast<float>(rng.uniform(0.3, 3.0));
   return p;
 }
 
@@ -197,7 +196,7 @@ TEST(BeamMixture, LutAgreesWithDirectAcrossRandomConfigs) {
   // measured-range floor outside the table must agree with direct
   // evaluation within the likelihood change across one quantization step
   // (slope bound · step/2, as in the fixed-config test above), for
-  // RANDOMIZED (z_hit, z_short, z_rand, sigma, lambda) configurations.
+  // RANDOMIZED (z_hit, z_short, z_rand, sigma) configurations.
   const auto grid = center_obstacle_grid();
   const map::DistanceMap dmap(grid, 1.5);
   const map::QuantizedDistanceMap qmap(grid, 1.5);
@@ -231,9 +230,6 @@ TEST(BeamMixture, RejectsInvalidShortParameters) {
   BeamModelParams bad;
   bad.z_short = -0.1f;
   EXPECT_THROW(LikelihoodLut(0.01f, bad), PreconditionError);
-  BeamModelParams bad_lambda;
-  bad_lambda.lambda_short = 0.0f;
-  EXPECT_THROW(LikelihoodLut(0.01f, bad_lambda), PreconditionError);
 }
 
 TEST(DirectObservationModel, MonotoneInDistanceMapError) {

@@ -282,7 +282,6 @@ TEST(ScoringContext, RejectsResourcesBuiltForAnotherConfig) {
   // The LUT covers hit + rand only, so the short-return terms may differ.
   LocalizerConfig mixture = cfg;
   mixture.mcl.z_short = 0.5;
-  mixture.mcl.lambda_short = 2.0;
   SerialExecutor exec;
   Localizer loc(build_scoring_context(maps, mixture),
                 {mixture.mcl.seed, mixture.mcl.num_particles}, exec);
@@ -330,12 +329,10 @@ TEST(ScoringFingerprint, CoversEveryScoringField) {
       {"z_hit", [](MclConfig& m) { m.z_hit += 0.25; }},
       {"z_rand", [](MclConfig& m) { m.z_rand += 0.25; }},
       {"z_short", [](MclConfig& m) { m.z_short += 0.25; }},
-      {"lambda_short", [](MclConfig& m) { m.lambda_short += 0.25; }},
       {"enable_novelty_gating",
        [](MclConfig& m) {
          m.enable_novelty_gating = !m.enable_novelty_gating;
        }},
-      {"novelty_margin_m", [](MclConfig& m) { m.novelty_margin_m += 0.25; }},
       {"rmax", [](MclConfig& m) { m.rmax += 0.25; }},
       {"gate_dxy", [](MclConfig& m) { m.gate_dxy += 0.25; }},
       {"gate_dtheta", [](MclConfig& m) { m.gate_dtheta += 0.25; }},
@@ -359,10 +356,10 @@ TEST(ScoringFingerprint, CoversEveryScoringField) {
   knobs.mcl.num_particles += 1;
   EXPECT_EQ(scoring_fingerprint(knobs), key);
 
-  // 17 scoring fields + the two knobs. A new MclConfig field fails here
+  // 15 scoring fields + the two knobs. A new MclConfig field fails here
   // until it joins scoring_fingerprint and the table above.
-  EXPECT_EQ(std::size(scoring_fields), 17u);
-  EXPECT_EQ(member_count<MclConfig>(), 19u);
+  EXPECT_EQ(std::size(scoring_fields), 15u);
+  EXPECT_EQ(member_count<MclConfig>(), 17u);
 }
 
 }  // namespace

@@ -577,7 +577,6 @@ TEST(ParticleFilter, MixtureFusedKernelMatchesSeparatePhases) {
   SerialExecutor exec;
   MclConfig cfg = small_config(777);
   cfg.z_short = 0.4;
-  cfg.lambda_short = 1.3;
   cfg.enable_novelty_gating = true;
 
   ParticleFilter<Fp32Traits> separate(dm, cfg, exec);

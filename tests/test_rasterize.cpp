@@ -1,9 +1,13 @@
-// Tests for world→grid rasterization: wall coverage, interior fill and
-// agreement between analytic raycasts and the rasterized map.
+// Tests for world→grid rasterization: wall coverage and inflation,
+// interior fill and agreement between analytic raycasts and the
+// rasterized map.
 
 #include "map/rasterize.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <numbers>
 
 #include "common/angles.hpp"
 #include "common/error.hpp"
@@ -93,6 +97,38 @@ TEST(Rasterize, ThickWallSpansMultipleCells) {
   EXPECT_EQ(g.state_at({0.87, 1.0}), CellState::kFree);
 }
 
+TEST(Rasterize, OccupiedExactlyWithinWallInflation) {
+  // The painted walls are inflated: a cell is Occupied iff its center lies
+  // within max(wall_thickness/2, half a cell diagonal) of some segment.
+  // World::clearance measures that distance with the same arithmetic as
+  // rasterize_segment, so the check is exact, cell by cell. The world has
+  // a closed box, a diagonal wall with free ends and a degenerate
+  // (point) segment; thicknesses below and above the cell diagonal pick
+  // either side of the max.
+  World w;
+  w.add_rectangle({{0.0, 0.0}, {3.0, 2.0}});
+  w.add_segment({0.4, 0.3}, {2.1, 1.55});
+  w.add_segment({2.6, 0.45}, {2.6, 0.45});
+  for (const double thickness : {0.03, 0.15}) {
+    RasterizeOptions opt;
+    opt.wall_thickness = thickness;
+    const OccupancyGrid g = rasterize(w, opt);
+    const double inflation =
+        std::max(thickness / 2.0, opt.resolution * 0.5 * std::numbers::sqrt2);
+    std::size_t occupied = 0;
+    for (int y = 0; y < g.height(); ++y) {
+      for (int x = 0; x < g.width(); ++x) {
+        const bool inside = w.clearance(g.cell_center({x, y})) <= inflation;
+        EXPECT_EQ(g.is_occupied({x, y}), inside)
+            << "thickness=" << thickness << " cell=(" << x << ", " << y
+            << ")";
+        occupied += inside;
+      }
+    }
+    EXPECT_GT(occupied, 0u);
+  }
+}
+
 TEST(RasterizeSegment, PaintsIntoExistingGrid) {
   OccupancyGrid g(20, 20, 0.05, {0.0, 0.0}, CellState::kFree);
   rasterize_segment(g, {{0.1, 0.1}, {0.9, 0.1}}, 0.05);
@@ -101,10 +137,9 @@ TEST(RasterizeSegment, PaintsIntoExistingGrid) {
 }
 
 TEST(Rasterize, RaycastAgreesWithAnalyticWorld) {
-  // Distances measured by DDA-style marching in the rasterized grid should
-  // agree with the analytic world raycast to within a couple of cells.
-  // (Full raycaster comparisons live in the sensor tests; here we check the
-  // wall is where the analytic hit says it is.)
+  // The analytic hit point lies on a wall, so the rasterized grid must
+  // have that point's cell Occupied (the inflation bound itself is
+  // OccupiedExactlyWithinWallInflation).
   World w;
   w.add_rectangle({{0.0, 0.0}, {3.0, 2.0}});
   RasterizeOptions opt;

@@ -74,7 +74,6 @@ struct Scenario {
   /// Observation model: short-return mixture weight and novelty gating
   /// (0 / off = the seed two-term model, bit-identical).
   double z_short = 0.0;
-  double lambda_short = 1.0;
   bool novelty_gating = false;
   /// Stale-map degradation: the flight is simulated (and sensed) in a
   /// seeded mutation of the world while the localization grid stays
@@ -393,7 +392,6 @@ core::LocalizerConfig make_localizer_config(const Scenario& s) {
   cfg.mcl.num_particles = s.particles;
   cfg.mcl.seed = s.mcl_seed;
   cfg.mcl.z_short = s.z_short;
-  cfg.mcl.lambda_short = s.lambda_short;
   cfg.mcl.enable_novelty_gating = s.novelty_gating;
   cfg.sensors = {gen.front_tof, gen.rear_tof};
   return cfg;

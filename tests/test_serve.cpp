@@ -69,6 +69,13 @@ core::LocalizerConfig base_config(std::size_t particles = 128,
   return cfg;
 }
 
+/// Fresh fp32qm resources for the maze, built for base_config()'s beam
+/// model.
+std::shared_ptr<const core::MapResources> maze_maps() {
+  const core::Precision p = core::Precision::kFp32Qm;
+  return core::build_map_resources(maze_grid(), base_config().mcl, {&p, 1});
+}
+
 sensor::TofFrame valid_frame(double t, float distance = 1.0f) {
   sensor::TofFrame frame;
   frame.timestamp_s = t;
@@ -98,24 +105,23 @@ std::vector<SessionInput> synthetic_stream(std::size_t ticks) {
 // ---------------------------------------------------------------------------
 
 TEST(MapCatalog, ConcurrentRequestsBuildOnceAndShareThePointer) {
-  const auto grid = maze_grid();
+  const auto maps = maze_maps();
   const auto cfg = base_config();
   MapCatalog catalog;
   std::atomic<int> builds{0};
-  const auto builder = [&]() -> MapCatalog::Resources {
+  const auto builder = [&]() -> MapCatalog::Context {
     ++builds;
-    const core::Precision p = core::Precision::kFp32Qm;
-    return core::build_map_resources(grid, cfg.mcl, {&p, 1});
+    return core::build_scoring_context(maps, cfg);
   };
 
   constexpr int kThreads = 8;
-  std::vector<MapCatalog::Resources> got(kThreads);
+  std::vector<MapCatalog::Context> got(kThreads);
   {
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
     for (int i = 0; i < kThreads; ++i) {
       threads.emplace_back(
-          [&, i] { got[i] = catalog.get_or_build("maze", builder); });
+          [&, i] { got[i] = catalog.get_or_build_context("maze", builder); });
     }
     for (auto& t : threads) t.join();
   }
@@ -125,22 +131,24 @@ TEST(MapCatalog, ConcurrentRequestsBuildOnceAndShareThePointer) {
   for (int i = 1; i < kThreads; ++i) {
     EXPECT_EQ(got[i].get(), got[0].get()) << "session " << i;
   }
-  EXPECT_EQ(catalog.size(), 1u);
+  EXPECT_EQ(catalog.context_count(), 1u);
   // A later request reuses the entry (no rebuild).
-  EXPECT_EQ(catalog.get_or_build("maze", builder).get(), got[0].get());
+  EXPECT_EQ(catalog.get_or_build_context("maze", builder).get(),
+            got[0].get());
   EXPECT_EQ(builds.load(), 1);
 }
 
 TEST(MapCatalog, FailedBuildPropagatesAndRetries) {
+  const auto maps = maze_maps();
   MapCatalog catalog;
   int attempts = 0;
-  const auto flaky = [&]() -> MapCatalog::Resources {
+  const auto flaky = [&]() -> MapCatalog::Context {
     if (++attempts == 1) throw IoError("map file unreadable");
-    return std::make_shared<const core::MapResources>();
+    return core::build_scoring_context(maps, base_config());
   };
-  EXPECT_THROW(catalog.get_or_build("flaky", flaky), IoError);
+  EXPECT_THROW(catalog.get_or_build_context("flaky", flaky), IoError);
   // The failed entry was forgotten: the next request retries and wins.
-  EXPECT_NE(catalog.get_or_build("flaky", flaky), nullptr);
+  EXPECT_NE(catalog.get_or_build_context("flaky", flaky), nullptr);
   EXPECT_EQ(attempts, 2);
 }
 
@@ -259,8 +267,7 @@ std::unique_ptr<SessionManager> run_maze_service(std::size_t threads,
                                                  std::size_t pump_batch = 16) {
   auto mgr = std::make_unique<SessionManager>(
       serve_options(threads, shards, pump_batch));
-  mgr->define_map("maze", maze_grid(), base_config().mcl,
-                  {core::Precision::kFp32Qm});
+  mgr->define_map("maze", maze_maps());
   for (std::size_t i = 0; i < sessions; ++i) {
     SessionOptions opts;
     opts.config = base_config(128, 100 + i);  // per-session filter seed
@@ -434,10 +441,8 @@ TEST(ServeGolden, ShardedSmokeBattery) {
 
 TEST(SessionManager, ReportAggregatesPerMapAndGlobally) {
   SessionManager mgr(serve_options(2));
-  mgr.define_map("maze_a", maze_grid(), base_config().mcl,
-                 {core::Precision::kFp32Qm});
-  mgr.define_map("maze_b", maze_grid(), base_config().mcl,
-                 {core::Precision::kFp32Qm});
+  mgr.define_map("maze_a", maze_maps());
+  mgr.define_map("maze_b", maze_maps());
   SessionOptions opts;
   opts.config = base_config();
   opts.queue_capacity = 32;
@@ -477,11 +482,10 @@ TEST(SessionManager, ReportAggregatesPerMapAndGlobally) {
 
 TEST(SessionManager, ConcurrentOpensOnOneMapShareOneBuild) {
   // Manager-level once-map: sessions opened from many threads at once on
-  // a grid-defined map must all come up (the catalog serializes the
-  // single build) and then serve.
+  // one map must all come up (the catalog builds their shared scoring
+  // context once) and then serve.
   SessionManager mgr(serve_options(2));
-  mgr.define_map("maze", maze_grid(), base_config().mcl,
-                 {core::Precision::kFp32Qm});
+  mgr.define_map("maze", maze_maps());
   constexpr std::size_t kOpeners = 6;
   {
     std::vector<std::thread> threads;
@@ -509,17 +513,13 @@ TEST(SessionManager, RejectsUnknownKeys) {
   opts.config = base_config();
   EXPECT_THROW(mgr.open_session("nope", opts), PreconditionError);
   EXPECT_THROW(mgr.push(0, SessionInput{}), PreconditionError);
-  mgr.define_map("maze", maze_grid(), base_config().mcl,
-                 {core::Precision::kFp32Qm});
-  EXPECT_THROW(mgr.define_map("maze", maze_grid(), base_config().mcl,
-                              {core::Precision::kFp32Qm}),
-               PreconditionError);
+  mgr.define_map("maze", maze_maps());
+  EXPECT_THROW(mgr.define_map("maze", maze_maps()), PreconditionError);
 }
 
 TEST(SessionManager, OpenSessionRejectsConfigTheMapWasNotBuiltFor) {
   SessionManager mgr(serve_options(0));
-  mgr.define_map("maze", maze_grid(), base_config().mcl,
-                 {core::Precision::kFp32Qm});
+  mgr.define_map("maze", maze_maps());
   SessionOptions opts;
   opts.config = base_config();
   opts.config.mcl.rmax += 0.5;
@@ -532,16 +532,12 @@ TEST(SessionManager, OpenSessionRejectsConfigTheMapWasNotBuiltFor) {
 TEST(SessionManager, HasMapTracksDefinitions) {
   SessionManager mgr(serve_options(0));
   EXPECT_FALSE(mgr.has_map("maze"));
-  mgr.define_map("maze", maze_grid(), base_config().mcl,
-                 {core::Precision::kFp32Qm});
+  mgr.define_map("maze", maze_maps());
   EXPECT_TRUE(mgr.has_map("maze"));
   EXPECT_FALSE(mgr.has_map("maze2"));
   // The check-before-define idiom replay loaders use (several sources
   // sharing one world key): second define is skipped, not thrown.
-  if (!mgr.has_map("maze")) {
-    mgr.define_map("maze", maze_grid(), base_config().mcl,
-                   {core::Precision::kFp32Qm});
-  }
+  if (!mgr.has_map("maze")) mgr.define_map("maze", maze_maps());
   SessionOptions opts;
   opts.config = base_config();
   EXPECT_EQ(mgr.open_session("maze", opts), 0u);
@@ -592,8 +588,7 @@ std::unique_ptr<SessionManager> make_maze_manager(
     std::shared_ptr<SnapshotStore> store = nullptr) {
   auto mgr = std::make_unique<SessionManager>(
       serve_options(threads, shards, /*pump_batch=*/16, std::move(store)));
-  mgr->define_map("maze", maze_grid(), base_config().mcl,
-                  {core::Precision::kFp32Qm});
+  mgr->define_map("maze", maze_maps());
   for (std::size_t i = 0; i < sessions; ++i) {
     SessionOptions opts;
     opts.config = base_config(128, 100 + i);
@@ -732,6 +727,35 @@ TEST(SessionSnapshot, VersionSkewAndTruncationAreRejected) {
   mgr->pump();
 }
 
+/// A rejected restore of an EVICTED session must leave its stashed
+/// snapshot in place: the next push restores from the stash, and the
+/// session finishes bit-identically to a twin that was never evicted.
+TEST(SessionSnapshot, RejectedRestoreKeepsTheEvictedStash) {
+  constexpr std::size_t kTicks = 12;
+  const auto stream = synthetic_stream(kTicks);
+  const auto straight = make_maze_manager(0, 1);
+  replay_window(*straight, stream, 1, 0, kTicks, 3);
+
+  const auto mgr = make_maze_manager(0, 1);
+  replay_window(*mgr, stream, 1, 0, kTicks / 2, 3);
+  const std::vector<std::byte> blob = mgr->snapshot_session(0);
+  mgr->evict_session(0);
+  const std::size_t stashed = mgr->store()->bytes();
+  ASSERT_GT(stashed, 0u);
+
+  std::vector<std::byte> skewed = blob;
+  skewed[4] ^= std::byte{0x7};  // format version
+  EXPECT_THROW(mgr->restore_session(0, skewed), IoError);
+  const std::vector<std::byte> truncated(blob.begin(),
+                                         blob.begin() + blob.size() / 2);
+  EXPECT_THROW(mgr->restore_session(0, truncated), IoError);
+  EXPECT_FALSE(mgr->session_live(0));
+  EXPECT_EQ(mgr->store()->bytes(), stashed);
+
+  replay_window(*mgr, stream, 1, kTicks / 2, kTicks, 3);
+  expect_bitwise_equal_traces(*straight, *mgr, 1);
+}
+
 TEST(SessionManager, IdleEvictionReclaimsResidentMemory) {
   constexpr std::size_t kSessions = 3;
   const auto stream = synthetic_stream(8);
@@ -782,8 +806,7 @@ TEST(SessionManager, AdaptiveSessionsShrinkResidentMemory) {
   const auto stream = synthetic_stream(12);
   const auto run = [&](bool adaptive) {
     auto mgr = std::make_unique<SessionManager>(serve_options(0));
-    mgr->define_map("maze", maze_grid(), base_config().mcl,
-                    {core::Precision::kFp32Qm});
+    mgr->define_map("maze", maze_maps());
     SessionOptions opts;
     opts.config = base_config(1024, 42);
     opts.config.mcl.adaptive_particles = adaptive;

@@ -10,8 +10,7 @@
 // tests/test_scenario_matrix.cpp.
 //
 // Usage: debug_crowd [kind] [world_seed] [plan] [crossers] [pace] [seeds]
-//                    [particles] [z_short] [lambda] [margin]
-//                    [stale_level] [mutation_seed0]
+//                    [particles] [z_short] [stale_level] [mutation_seed0]
 //   kind: 0 office, 1 warehouse, 2 loop corridor
 //   stale_level: 0 pristine (default), 1 light, 2 heavy — seed s of the
 //     sweep mutates the world with mutation_seed0 + s, so gate thresholds
@@ -45,16 +44,13 @@ struct ModelResult {
 ModelResult replay(const map::OccupancyGrid& grid, const sim::Sequence& seq,
                    const sim::SequenceGeneratorConfig& gen,
                    std::uint64_t mcl_seed, std::size_t particles,
-                   double z_short, double lambda_short, bool gating,
-                   double margin) {
+                   double z_short, bool gating) {
   core::SerialExecutor exec;
   core::LocalizerConfig lc;
   lc.mcl.num_particles = particles;
   lc.mcl.seed = mcl_seed;
   lc.mcl.z_short = z_short;
-  lc.mcl.lambda_short = lambda_short;
   lc.mcl.enable_novelty_gating = gating;
-  lc.mcl.novelty_margin_m = margin;
   lc.sensors = {gen.front_tof, gen.rear_tof};
   core::Localizer loc(grid, lc, exec);
   loc.on_odometry(seq.odometry.front().pose);
@@ -109,11 +105,9 @@ int main(int argc, char** argv) {
   const std::size_t particles =
       argc > 7 ? static_cast<std::size_t>(std::atoi(argv[7])) : 4096;
   const double z_short = argc > 8 ? std::atof(argv[8]) : 0.5;
-  const double lambda_short = argc > 9 ? std::atof(argv[9]) : 1.0;
-  const double margin = argc > 10 ? std::atof(argv[10]) : 0.5;
-  const int stale_level = argc > 11 ? std::atoi(argv[11]) : 0;
+  const int stale_level = argc > 9 ? std::atoi(argv[9]) : 0;
   const std::uint64_t mutation_seed0 =
-      argc > 12 ? std::strtoull(argv[12], nullptr, 10) : 500;
+      argc > 10 ? std::strtoull(argv[10], nullptr, 10) : 500;
 
   sim::WorldGenConfig wc;
   wc.seed = world_seed;
@@ -160,10 +154,10 @@ int main(int argc, char** argv) {
     const sim::Sequence seq =
         sim::generate_sequence(*flight_world, world.plans[plan], gen, rng);
 
-    const ModelResult base = replay(grid, seq, gen, 7 + s, particles, 0.0,
-                                    lambda_short, false, margin);
-    const ModelResult mix = replay(grid, seq, gen, 7 + s, particles,
-                                   z_short, lambda_short, true, margin);
+    const ModelResult base =
+        replay(grid, seq, gen, 7 + s, particles, 0.0, false);
+    const ModelResult mix =
+        replay(grid, seq, gen, 7 + s, particles, z_short, true);
     std::printf(
         "seed %llu dur=%5.1fs | base: conv=%d ok=%d ate=%.3f max=%.3f "
         "fin=%.3f inj=%zu/%.3f | mix: conv=%d ok=%d ate=%.3f max=%.3f "
