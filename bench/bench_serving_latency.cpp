@@ -9,8 +9,10 @@
 // multiplexes all sessions over the thread pool with one task per
 // map-affine batch of --pump-batch busy sessions. Reported:
 // p50/p99/p999 per-correction latency (per map and
-// global), corrections/s, processed/dropped inputs — optionally written
-// as BENCH_serving.json (the checked-in serving baseline artifact).
+// global), corrections/s, processed/dropped inputs and the idle
+// footprint. The benchmark of record for serving is perfbench's
+// serve_paced / serve_churn; this bench is the CI smoke and the source
+// of the ServeGolden.SmokeBattery trace.
 //
 // --overload pushes each session's whole stream before a single pump, so
 // drop-oldest admission control actually fires; the default paced mode
@@ -51,7 +53,6 @@ struct Args {
   bool adaptive = false;         ///< KLD-adaptive particle counts.
   /// Idle deadline in pump generations; 0 disables the eviction tail.
   std::size_t evict_idle = 0;
-  const char* json_path = nullptr;
   const char* trace_path = nullptr;
 };
 
@@ -89,12 +90,11 @@ Args parse(int argc, char** argv) {
           "  --min-particles N  adaptive shrink floor (default 128)\n"
           "  --evict-idle N after the paced replay, evict sessions idle\n"
           "                 for N pump generations (snapshot to the\n"
-          "                 catalog store, SoA blocks back to the arena);\n"
+          "                 snapshot store, SoA blocks back to the arena);\n"
           "                 0 = off\n"
           "  --overload     push whole streams before pumping (forces\n"
           "                 drop-oldest admission control to fire)\n"
           "  --smoke        small-maze CI configuration (256 sessions)\n"
-          "  --json FILE    write the report as JSON (BENCH_serving.json)\n"
           "  --trace FILE   hexfloat per-session correction trace (the\n"
           "                 bytes ServeGolden.SmokeBattery hashes)\n");
       std::exit(0);
@@ -126,8 +126,6 @@ Args parse(int argc, char** argv) {
       args.threads = 2;
       args.particles = 128;
       args.ticks = 20;
-    } else if (is("--json")) {
-      args.json_path = value();
     } else if (is("--trace")) {
       args.trace_path = value();
     } else {
@@ -177,13 +175,6 @@ void print_latency(const char* label, const serve::LatencySummary& s) {
               label, s.count, s.p50 * 1e6, s.p99 * 1e6, s.p999 * 1e6,
               s.mean * 1e6, s.max * 1e6,
               s.low_sample ? "  [low-sample: tails clamped to max]" : "");
-}
-
-void json_latency(std::ofstream& os, const serve::LatencySummary& s) {
-  os << "{\"count\": " << s.count << ", \"p50\": " << s.p50 * 1e6
-     << ", \"p99\": " << s.p99 * 1e6 << ", \"p999\": " << s.p999 * 1e6
-     << ", \"mean\": " << s.mean * 1e6 << ", \"max\": " << s.max * 1e6
-     << ", \"low_sample\": " << (s.low_sample ? "true" : "false") << "}";
 }
 
 }  // namespace
@@ -310,8 +301,8 @@ int main(int argc, char** argv) {
 
   // Eviction tail: the replay is over, every session is idle. Let the
   // idle deadline lapse (empty pump generations), then sweep — each
-  // evicted session serializes into the catalog's backing store and its
-  // SoA blocks return to the per-map arena.
+  // evicted session serializes into the snapshot store and its SoA
+  // blocks return to the per-map arena.
   if (args.evict_idle > 0) {
     for (std::size_t i = 0; i < args.evict_idle; ++i) mgr.pump();
     mgr.evict_idle(args.evict_idle);
@@ -335,7 +326,7 @@ int main(int argc, char** argv) {
   // Per-idle-session particle memory at the end of the run — every
   // session is idle (queues drained), so the footprint an idle session
   // pins is live SoA blocks (both buffers at capacity) plus, for evicted
-  // sessions, the snapshot blob parked in the catalog store. The fixed
+  // sessions, the snapshot blob parked in the snapshot store. The fixed
   // baseline is what the same budget pins without adaptation or
   // eviction: 2 SoA buffers × 4 fp32 fields, always at full capacity.
   const std::size_t fixed_resident_bytes =
@@ -373,61 +364,6 @@ int main(int argc, char** argv) {
                  "\npaced mode dropped %zu inputs (queue misconfigured?)\n",
                  rep.dropped_inputs);
     return 1;
-  }
-
-  if (args.json_path != nullptr) {
-    std::ofstream js(args.json_path);
-    if (!js) {
-      std::fprintf(stderr, "cannot open %s\n", args.json_path);
-      return 1;
-    }
-    js << "{\n"
-       << "  \"bench\": \"serving_latency\",\n"
-       << "  \"mode\": \"" << (args.smoke ? "smoke" : "full")
-       << (args.overload ? "+overload" : "")
-       << (args.adaptive ? "+adaptive" : "") << "\",\n"
-       << "  \"sessions\": " << args.sessions << ",\n"
-       << "  \"threads\": " << args.threads << ",\n"
-       << "  \"shards\": " << args.shards << ",\n"
-       << "  \"pump_batch\": " << args.pump_batch << ",\n"
-       << "  \"particles\": " << args.particles << ",\n"
-       << "  \"adaptive\": " << (args.adaptive ? "true" : "false") << ",\n"
-       << "  \"min_particles\": " << args.min_particles << ",\n"
-       << "  \"ticks\": " << min_ticks << ",\n"
-       << "  \"queue_capacity\": " << args.queue << ",\n"
-       << "  \"maps\": " << rep.per_map.size() << ",\n"
-       << "  \"wall_seconds\": " << wall_s << ",\n"
-       << "  \"pump_seconds\": " << rep.pump_seconds << ",\n"
-       << "  \"corrections\": " << rep.corrections << ",\n"
-       << "  \"corrections_per_second\": " << rep.corrections_per_second
-       << ",\n"
-       << "  \"processed_inputs\": " << rep.processed_inputs << ",\n"
-       << "  \"dropped_inputs\": " << rep.dropped_inputs << ",\n"
-       << "  \"active_particles\": " << rep.active_particles << ",\n"
-       << "  \"live_sessions\": " << rep.live_sessions << ",\n"
-       << "  \"evicted_sessions\": " << rep.evicted_sessions << ",\n"
-       << "  \"resident_particle_bytes\": " << rep.resident_particle_bytes
-       << ",\n"
-       << "  \"stashed_snapshot_bytes\": " << rep.stashed_snapshot_bytes
-       << ",\n"
-       << "  \"fixed_resident_particle_bytes\": " << fixed_resident_bytes
-       << ",\n"
-       << "  \"idle_footprint_bytes_per_session\": " << per_session_bytes
-       << ",\n"
-       << "  \"idle_footprint_reduction_vs_fixed\": " << reduction << ",\n"
-       << "  \"latency_us\": ";
-    json_latency(js, rep.latency);
-    js << ",\n  \"per_map\": [\n";
-    for (std::size_t i = 0; i < rep.per_map.size(); ++i) {
-      const serve::MapReport& m = rep.per_map[i];
-      js << "    {\"map\": \"" << m.map << "\", \"sessions\": " << m.sessions
-         << ", \"corrections\": " << m.corrections
-         << ", \"dropped_inputs\": " << m.dropped_inputs
-         << ", \"latency_us\": ";
-      json_latency(js, m.latency);
-      js << "}" << (i + 1 < rep.per_map.size() ? "," : "") << "\n";
-    }
-    js << "  ]\n}\n";
   }
 
   return 0;

@@ -406,20 +406,6 @@ std::string campaign_trace(const CampaignResult& result) {
   return trace.str();
 }
 
-std::shared_ptr<const core::ScoringContext> Campaign::context_for(
-    const std::shared_ptr<const core::MapResources>& maps,
-    const core::LocalizerConfig& config) const {
-  const std::pair<const void*, std::string> key(
-      maps.get(), core::scoring_fingerprint(config));
-  std::lock_guard<std::mutex> lock(ctx_mutex_);
-  const auto it = ctx_cache_.find(key);
-  if (it != ctx_cache_.end()) return it->second;
-  // Cheap under the lock: the expensive map resources are prebuilt, the
-  // context only bundles them with the resolved config and a new arena.
-  auto ctx = core::build_scoring_context(maps, config);
-  return ctx_cache_.emplace(key, std::move(ctx)).first->second;
-}
-
 CampaignRunResult Campaign::execute_run(const RunSpec& run) const {
   const WorldSpec& ws = spec_.worlds[run.world_index];
   const World& world = worlds_.at(world_key(ws));
@@ -447,7 +433,10 @@ CampaignRunResult Campaign::execute_run(const RunSpec& run) const {
   knobs.seed = lc.mcl.seed;
   knobs.num_particles = lc.mcl.num_particles;
   core::SerialExecutor executor;
-  core::Localizer loc(context_for(world.maps, lc), knobs, executor);
+  // A context on prebuilt resources is a config copy and a few checks;
+  // the EDT and LUT stay shared through world.maps.
+  core::Localizer loc(core::build_scoring_context(world.maps, lc), knobs,
+                      executor);
   const sim::Sequence& leg1 = dataset.legs.front();
   TOFMCL_EXPECTS(!leg1.odometry.empty(), "dataset leg has no odometry");
   loc.on_odometry(leg1.odometry.front().pose);

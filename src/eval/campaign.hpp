@@ -20,7 +20,9 @@
 ///    grids, float/quantized EDTs and the likelihood LUT per map
 ///    (core::MapResources), and each simulated dataset per
 ///    (map, sensing, seed) — reused by every init/precision/particle
-///    variation riding on it;
+///    variation riding on it. Each run builds its own ScoringContext on
+///    top of the shared resources (a config copy, a few checks and an
+///    empty particle arena), so runs share no mutable state;
 ///  * the run is the unit of parallelism: each run executes its filter on
 ///    a SerialExecutor, and CampaignOptions::threads decides whether runs
 ///    (and dataset generations) go one at a time or onto a ThreadPool.
@@ -33,7 +35,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -322,25 +323,12 @@ class Campaign {
   void prepare_shared(const CampaignOptions& options);
   CampaignRunResult execute_run(const RunSpec& run) const;
 
-  /// One shared ScoringContext per (map resources, scoring fingerprint):
-  /// every run differing only in seed/particle count leases its particle
-  /// blocks from the same arena, so a batch's sequential runs on one pool
-  /// worker recycle blocks instead of reallocating. Guarded by
-  /// ctx_mutex_ (execute_run is const and fans out over the pool).
-  std::shared_ptr<const core::ScoringContext> context_for(
-      const std::shared_ptr<const core::MapResources>& maps,
-      const core::LocalizerConfig& config) const;
-
   CampaignSpec spec_;
   std::vector<RunSpec> runs_;
   /// Keyed by world identity, not WorldSpec index, so e.g. a six-plan
   /// sweep over the large maze builds one EDT set, not six.
   std::map<WorldKey, World> worlds_;
   std::map<DatasetKey, Dataset> datasets_;
-  mutable std::mutex ctx_mutex_;
-  mutable std::map<std::pair<const void*, std::string>,
-                   std::shared_ptr<const core::ScoringContext>>
-      ctx_cache_;
 };
 
 /// Deterministic seed derivation used by the matrix expansion: a pure

@@ -55,21 +55,26 @@ bool SessionManager::has_map(const std::string& key) const {
 
 std::size_t SessionManager::open_session(const std::string& map_key,
                                          const SessionOptions& opts) {
-  std::shared_ptr<const core::MapResources> maps;
-  {
-    std::lock_guard<std::mutex> lock(defs_mutex_);
-    const auto it = definitions_.find(map_key);
-    TOFMCL_EXPECTS(it != definitions_.end(), "unknown map key");
-    maps = it->second;
-  }
   // One ScoringContext per (map, scoring fingerprint): sessions that
   // differ only in SessionKnobs (seed, particle budget — excluded from
   // the fingerprint) share it, and with it the per-map particle arena.
-  const std::string ctx_key =
-      map_key + '\x1f' + core::scoring_fingerprint(opts.config);
-  auto ctx = catalog_.get_or_build_context(ctx_key, [&maps, &opts] {
-    return core::build_scoring_context(maps, opts.config);
-  });
+  // On prebuilt resources the build is a config copy and a few checks, so
+  // it runs under the lock; a config the map rejects throws before the
+  // insert and before an id is taken.
+  std::pair<std::string, std::string> ctx_key(
+      map_key, core::scoring_fingerprint(opts.config));
+  std::shared_ptr<const core::ScoringContext> ctx;
+  {
+    std::lock_guard<std::mutex> lock(defs_mutex_);
+    const auto def = definitions_.find(map_key);
+    TOFMCL_EXPECTS(def != definitions_.end(), "unknown map key");
+    auto it = contexts_.find(ctx_key);
+    if (it == contexts_.end()) {
+      auto built = core::build_scoring_context(def->second, opts.config);
+      it = contexts_.emplace(std::move(ctx_key), std::move(built)).first;
+    }
+    ctx = it->second;
+  }
   // Dense id assignment round-robins sessions across shards; only the
   // owning shard is locked to place the slot, so opens on different
   // shards never contend.
@@ -99,7 +104,19 @@ Admission SessionManager::push(std::size_t session_id, SessionInput input) {
   // the moment traffic returns. (Construction under the lock is the
   // exception to push() being cheap; it only happens on the first push
   // after an eviction.)
-  if (!slot.live) restore_locked(slot, session_id);
+  if (!slot.live) {
+    auto blob = store_->take(session_id);
+    TOFMCL_EXPECTS(blob.has_value(),
+                   "evicted session has no stashed snapshot");
+    try {
+      restore_locked(slot, session_id, *blob);
+    } catch (...) {
+      // The store has no peek: put a rejected stash back, so the session
+      // stays evicted with its blob instead of losing it.
+      store_->put(session_id, std::move(*blob));
+      throw;
+    }
+  }
   return slot.live->push(std::move(input));
 }
 
@@ -206,11 +223,10 @@ void SessionManager::evict_locked(Slot& slot, std::size_t id) {
   slot.live.reset();
 }
 
-void SessionManager::restore_locked(Slot& slot, std::size_t id) {
-  auto blob = store_->take(id);
-  TOFMCL_EXPECTS(blob.has_value(), "evicted session has no stashed snapshot");
+void SessionManager::restore_locked(Slot& slot, std::size_t id,
+                                    std::span<const std::byte> blob) {
   slot.live = std::make_unique<Session>(id, slot.map_key, slot.ctx, slot.opts,
-                                        std::span<const std::byte>(*blob));
+                                        blob);
   slot.idle_pumps = 0;
   // The restored Session carries its counters again.
   slot.retained_corrections = 0;
@@ -241,18 +257,11 @@ void SessionManager::restore_session(std::size_t session_id,
     TOFMCL_EXPECTS(!slot.live->has_pending(),
                    "cannot restore over pending inputs (pump first)");
   }
-  // Build from the blob before touching the store: a rejected blob must
-  // leave an evicted session's stashed snapshot in place.
-  auto restored = std::make_unique<Session>(session_id, slot.map_key,
-                                            slot.ctx, slot.opts, blob);
-  // An explicit restore supersedes whatever eviction stashed.
+  // Restore before touching the store: a rejected blob must leave an
+  // evicted session's stashed snapshot in place. Once it succeeded, the
+  // explicit restore supersedes whatever eviction stashed.
+  restore_locked(slot, session_id, blob);
   store_->take(session_id);
-  slot.live = std::move(restored);
-  slot.idle_pumps = 0;
-  slot.retained_corrections = 0;
-  slot.retained_processed = 0;
-  slot.retained_dropped = 0;
-  slot.retained_latency = LatencyRecorder{};
 }
 
 void SessionManager::evict_session(std::size_t session_id) {

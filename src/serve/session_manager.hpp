@@ -16,10 +16,12 @@
 /// Maps are defined once, with their prebuilt core::MapResources: every
 /// session on a map shares that one immutable object (one EDT/LUT in
 /// memory however many thousand sessions share the map). On top of the
-/// resources the MapCatalog builds one core::ScoringContext per (map,
-/// scoring fingerprint) on the first open that needs it: sessions
-/// differing only in SessionKnobs (seed, particle budget) share one
-/// context and lease their SoA particle blocks from its arena.
+/// resources the manager builds one core::ScoringContext per (map,
+/// scoring fingerprint) on the first open that needs it, under the lock
+/// that guards the map definitions (the build is a config copy and a few
+/// checks, not an EDT): sessions differing only in SessionKnobs (seed,
+/// particle budget) share one context and lease their SoA particle blocks
+/// from its arena.
 ///
 /// SHARDING: slot state is split into `shards` independent shards —
 /// session id `i` lives in shard `i % shards` (ids are dense; the slot
@@ -49,10 +51,10 @@
 /// evicted — its full state is serialized into the SnapshotStore and the
 /// Session object (and its arena blocks) is destroyed. The id stays
 /// valid: the next push() transparently restores the session from its
-/// blob and resumes bit-identically. The store is pluggable
-/// (ServeOptions::store): two managers sharing one store can rebalance
-/// evicted sessions between themselves, and the file-backed store
-/// persists blobs across processes.
+/// blob and resumes bit-identically; a stashed blob the Session rejects
+/// stays in the store and the session stays evicted. The store is
+/// pluggable (ServeOptions::store): two managers sharing one store can
+/// rebalance evicted sessions between themselves.
 ///
 /// Determinism: a session's correction trace depends only on its own
 /// input order (per-session RNG, SerialExecutor chunking), never on
@@ -63,14 +65,15 @@
 
 #include <atomic>
 #include <cstddef>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.hpp"
-#include "serve/map_catalog.hpp"
 #include "serve/session.hpp"
 #include "serve/snapshot_store.hpp"
 
@@ -90,8 +93,7 @@ struct ServeOptions {
   std::size_t pump_batch = 16;
   /// Backing store for evicted-session snapshot blobs. Null builds a
   /// private InMemorySnapshotStore; pass a shared store to rebalance
-  /// evicted sessions across managers, or a FileSnapshotStore to persist
-  /// them across processes.
+  /// evicted sessions across managers.
   std::shared_ptr<SnapshotStore> store;
 };
 
@@ -156,16 +158,18 @@ class SessionManager {
 
   /// Opens a session on a defined map and returns its id. Thread-safe;
   /// concurrent opens of one map share a single scoring context (keyed by
-  /// map + scoring fingerprint), built once. Ids are dense and round-robin
-  /// across shards.
+  /// map + scoring fingerprint), built once. A config the map's resources
+  /// were not built for throws PreconditionError, caches nothing and
+  /// consumes no id. Ids are dense and round-robin across shards.
   std::size_t open_session(const std::string& map_key,
                            const SessionOptions& opts);
 
   /// Enqueue an input tick for a session. Thread-safe; returns the
   /// admission/backpressure signal. Pushing to an evicted session
-  /// transparently restores it from its stashed snapshot first. Only the
-  /// session's own shard is locked — pushes on other shards proceed
-  /// concurrently.
+  /// transparently restores it from its stashed snapshot first; a stash
+  /// the Session rejects (IoError for a malformed one) is put back, and
+  /// the session stays evicted. Only the session's own shard is locked —
+  /// pushes on other shards proceed concurrently.
   Admission push(std::size_t session_id, SessionInput input);
 
   /// Processes every session's backlog in map-affine batches of up to
@@ -231,7 +235,7 @@ class SessionManager {
   struct Slot {
     std::unique_ptr<Session> live;
     std::string map_key;
-    MapCatalog::Context ctx;
+    std::shared_ptr<const core::ScoringContext> ctx;
     SessionOptions opts;
     /// True while a pump has (or may have) a process_pending() task in
     /// flight for this slot: eviction must skip pinned slots — destroying
@@ -266,19 +270,27 @@ class SessionManager {
   /// Evicts `slot` (must be live, unpinned, empty queue); caller holds
   /// the shard mutex.
   void evict_locked(Slot& slot, std::size_t id);
-  /// Restores `slot` from the snapshot store; caller holds the shard
-  /// mutex.
-  void restore_locked(Slot& slot, std::size_t id);
+  /// The one place a Session is built from a blob: constructs it from
+  /// `blob` and only then commits it to `slot` (live again, idle clock
+  /// and retained stats reset). A rejected blob throws and leaves the
+  /// slot as it was. Caller holds the shard mutex.
+  void restore_locked(Slot& slot, std::size_t id,
+                      std::span<const std::byte> blob);
   void add_pump_seconds(double dt);
 
   ServeOptions opts_;
   std::unique_ptr<ThreadPool> pool_;  ///< Null when threads == 0.
-  MapCatalog catalog_;
   std::shared_ptr<SnapshotStore> store_;
 
-  mutable std::mutex defs_mutex_;  ///< Guards definitions_ (insert-only).
+  /// Guards definitions_ and contexts_ (both insert-only).
+  mutable std::mutex defs_mutex_;
   std::map<std::string, std::shared_ptr<const core::MapResources>>
       definitions_;
+  /// (map key, core::scoring_fingerprint) -> the context every session
+  /// with that key and fingerprint shares.
+  std::map<std::pair<std::string, std::string>,
+           std::shared_ptr<const core::ScoringContext>>
+      contexts_;
 
   std::vector<std::unique_ptr<Shard>> shards_;  ///< Fixed at construction.
   std::atomic<std::size_t> next_id_{0};

@@ -12,17 +12,15 @@
 /// The seam exists so the blobs can outlive one manager instance:
 /// several SessionManagers sharing one store can hand evicted sessions
 /// to each other (rebalancing — manager A evicts into the store, manager
-/// B takes the blob and restores it bit-identically), and the
-/// file-backed implementation persists blobs across process restarts,
-/// the substrate for cross-process rebalancing.
+/// B takes the blob and restores it bit-identically), and a caller can
+/// wrap the default store (perfbench times every put and take this way).
 ///
 /// Implementations must be thread-safe: pushes restoring evicted
-/// sessions call take() from any producer thread while evictions put()
-/// from the sweep thread.
+/// sessions call take() (and put() back a stash the Session rejects)
+/// from any producer thread while evictions put() from the sweep thread.
 
 #include <cstddef>
 #include <cstdint>
-#include <filesystem>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -48,8 +46,7 @@ class SnapshotStore {
   virtual std::size_t bytes() const = 0;
 };
 
-/// The default store: blobs held in a mutex-guarded map. Exactly the
-/// semantics the MapCatalog's built-in stash used to provide.
+/// The default store: blobs held in a mutex-guarded map.
 class InMemorySnapshotStore final : public SnapshotStore {
  public:
   void put(std::uint64_t id, std::vector<std::byte> blob) override;
@@ -60,37 +57,6 @@ class InMemorySnapshotStore final : public SnapshotStore {
  private:
   mutable std::mutex mutex_;
   std::map<std::uint64_t, std::vector<std::byte>> blobs_;
-  std::size_t bytes_ = 0;
-};
-
-/// One file per parked blob ("<id>.snap" under `dir`), so parked
-/// sessions survive the process and a second process (or a later run)
-/// can pick them up: the constructor scans the directory and adopts
-/// every existing blob file into its index. Blob contents are written
-/// and read back byte-for-byte — a file round-trip is bitwise equal to
-/// the in-memory store's (tests/test_serve.cpp gates on this).
-class FileSnapshotStore final : public SnapshotStore {
- public:
-  /// Creates `dir` when missing and indexes the "<id>.snap" files already
-  /// present, where <id> is spelled as std::to_string writes it; any other
-  /// file is left alone. Throws common::IoError when the directory cannot
-  /// be created.
-  explicit FileSnapshotStore(std::filesystem::path dir);
-
-  void put(std::uint64_t id, std::vector<std::byte> blob) override;
-  std::optional<std::vector<std::byte>> take(std::uint64_t id) override;
-  std::size_t count() const override;
-  std::size_t bytes() const override;
-
-  const std::filesystem::path& directory() const { return dir_; }
-
- private:
-  std::filesystem::path path_of(std::uint64_t id) const;
-
-  std::filesystem::path dir_;
-  mutable std::mutex mutex_;
-  /// id -> payload size; the index spares take()/bytes() a disk stat.
-  std::map<std::uint64_t, std::size_t> sizes_;
   std::size_t bytes_ = 0;
 };
 

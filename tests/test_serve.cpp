@@ -1,5 +1,5 @@
-// Serving-layer tests: the keyed once-map (single construction + pointer
-// identity under concurrent requests), bounded admission control with
+// Serving-layer tests: one shared scoring context per (map, scoring
+// fingerprint) under concurrent opens, bounded admission control with
 // drop-oldest semantics and backpressure signals, the Localizer's
 // asserted single-threaded contract and correction-timing hooks, and the
 // serial-vs-pooled determinism gate (bit-identical per-session correction
@@ -17,8 +17,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -42,15 +40,6 @@ ServeOptions serve_options(std::size_t threads, std::size_t shards = 1,
   opts.pump_batch = pump_batch;
   opts.store = std::move(store);
   return opts;
-}
-
-/// A fresh, empty directory under the test temp root (stale files from a
-/// previous run would pollute the FileSnapshotStore's adoption scan).
-std::filesystem::path fresh_store_dir(const std::string& name) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / name;
-  std::filesystem::remove_all(dir);
-  return dir;
 }
 
 map::OccupancyGrid maze_grid() {
@@ -98,58 +87,6 @@ std::vector<SessionInput> synthetic_stream(std::size_t ticks) {
     stream.push_back(std::move(input));
   }
   return stream;
-}
-
-// ---------------------------------------------------------------------------
-// MapCatalog: the keyed once-map (duplicate-construction bugfix).
-// ---------------------------------------------------------------------------
-
-TEST(MapCatalog, ConcurrentRequestsBuildOnceAndShareThePointer) {
-  const auto maps = maze_maps();
-  const auto cfg = base_config();
-  MapCatalog catalog;
-  std::atomic<int> builds{0};
-  const auto builder = [&]() -> MapCatalog::Context {
-    ++builds;
-    return core::build_scoring_context(maps, cfg);
-  };
-
-  constexpr int kThreads = 8;
-  std::vector<MapCatalog::Context> got(kThreads);
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int i = 0; i < kThreads; ++i) {
-      threads.emplace_back(
-          [&, i] { got[i] = catalog.get_or_build_context("maze", builder); });
-    }
-    for (auto& t : threads) t.join();
-  }
-
-  EXPECT_EQ(builds.load(), 1);
-  ASSERT_NE(got[0], nullptr);
-  for (int i = 1; i < kThreads; ++i) {
-    EXPECT_EQ(got[i].get(), got[0].get()) << "session " << i;
-  }
-  EXPECT_EQ(catalog.context_count(), 1u);
-  // A later request reuses the entry (no rebuild).
-  EXPECT_EQ(catalog.get_or_build_context("maze", builder).get(),
-            got[0].get());
-  EXPECT_EQ(builds.load(), 1);
-}
-
-TEST(MapCatalog, FailedBuildPropagatesAndRetries) {
-  const auto maps = maze_maps();
-  MapCatalog catalog;
-  int attempts = 0;
-  const auto flaky = [&]() -> MapCatalog::Context {
-    if (++attempts == 1) throw IoError("map file unreadable");
-    return core::build_scoring_context(maps, base_config());
-  };
-  EXPECT_THROW(catalog.get_or_build_context("flaky", flaky), IoError);
-  // The failed entry was forgotten: the next request retries and wins.
-  EXPECT_NE(catalog.get_or_build_context("flaky", flaky), nullptr);
-  EXPECT_EQ(attempts, 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -481,9 +418,9 @@ TEST(SessionManager, ReportAggregatesPerMapAndGlobally) {
 }
 
 TEST(SessionManager, ConcurrentOpensOnOneMapShareOneBuild) {
-  // Manager-level once-map: sessions opened from many threads at once on
-  // one map must all come up (the catalog builds their shared scoring
-  // context once) and then serve.
+  // Sessions opened from many threads at once on one map, differing only
+  // in their seeds, must all come up on ONE scoring context (built once
+  // by whichever open got there first) and then serve.
   SessionManager mgr(serve_options(2));
   mgr.define_map("maze", maze_maps());
   constexpr std::size_t kOpeners = 6;
@@ -500,6 +437,13 @@ TEST(SessionManager, ConcurrentOpensOnOneMapShareOneBuild) {
     for (auto& t : threads) t.join();
   }
   EXPECT_EQ(mgr.num_sessions(), kOpeners);
+  const core::ScoringContext* shared =
+      mgr.session(0).localizer().context().get();
+  ASSERT_NE(shared, nullptr);
+  for (std::size_t i = 1; i < kOpeners; ++i) {
+    EXPECT_EQ(mgr.session(i).localizer().context().get(), shared)
+        << "session " << i;
+  }
   const auto stream = synthetic_stream(6);
   for (const auto& input : stream) {
     for (std::size_t i = 0; i < kOpeners; ++i) mgr.push(i, input);
@@ -523,8 +467,11 @@ TEST(SessionManager, OpenSessionRejectsConfigTheMapWasNotBuiltFor) {
   SessionOptions opts;
   opts.config = base_config();
   opts.config.mcl.rmax += 0.5;
+  // A rejected build caches nothing: the second open builds (and is
+  // rejected) again instead of reusing a failed entry.
   EXPECT_THROW(mgr.open_session("maze", opts), PreconditionError);
-  // The rejected open consumed no session id.
+  EXPECT_THROW(mgr.open_session("maze", opts), PreconditionError);
+  // The rejected opens consumed no session id.
   opts.config = base_config();
   EXPECT_EQ(mgr.open_session("maze", opts), 0u);
 }
@@ -756,6 +703,44 @@ TEST(SessionSnapshot, RejectedRestoreKeepsTheEvictedStash) {
   expect_bitwise_equal_traces(*straight, *mgr, 1);
 }
 
+/// The transparent restore inside push() takes the stash before it builds
+/// the Session: a stash the Session rejects must go back into the store,
+/// with the session left evicted, so a good blob put back later still
+/// restores and the session finishes bit-identically to a twin that was
+/// never evicted.
+TEST(SessionSnapshot, RejectedStashSurvivesPushRestore) {
+  constexpr std::size_t kTicks = 12;
+  const auto stream = synthetic_stream(kTicks);
+  const auto straight = make_maze_manager(0, 1);
+  replay_window(*straight, stream, 1, 0, kTicks, 3);
+
+  const auto store = std::make_shared<InMemorySnapshotStore>();
+  const auto mgr = make_maze_manager(0, 1, /*shards=*/1, store);
+  replay_window(*mgr, stream, 1, 0, kTicks / 2, 3);
+  mgr->evict_session(0);
+  auto good = store->take(0);
+  ASSERT_TRUE(good.has_value());
+  const std::vector<std::byte> truncated(good->begin(),
+                                         good->begin() + good->size() / 2);
+  store->put(0, truncated);
+
+  EXPECT_THROW(mgr->push(0, stream[kTicks / 2]), IoError);
+  EXPECT_FALSE(mgr->session_live(0));
+  EXPECT_EQ(store->count(), 1u);
+  EXPECT_EQ(store->bytes(), truncated.size());
+  const auto kept = store->take(0);
+  ASSERT_TRUE(kept.has_value());
+  EXPECT_EQ(*kept, truncated);
+  // take() removes: a second take misses and the counters drain.
+  EXPECT_FALSE(store->take(0).has_value());
+  EXPECT_EQ(store->count(), 0u);
+  EXPECT_EQ(store->bytes(), 0u);
+
+  store->put(0, std::move(*good));
+  replay_window(*mgr, stream, 1, kTicks / 2, kTicks, 3);
+  expect_bitwise_equal_traces(*straight, *mgr, 1);
+}
+
 TEST(SessionManager, IdleEvictionReclaimsResidentMemory) {
   constexpr std::size_t kSessions = 3;
   const auto stream = synthetic_stream(8);
@@ -853,76 +838,6 @@ TEST(SessionManager, AdaptiveSessionsShrinkResidentMemory) {
 }
 
 // ---------------------------------------------------------------------------
-// SnapshotStore: pluggable blob parking (in-memory and file-backed).
-// ---------------------------------------------------------------------------
-
-TEST(SnapshotStore, FileBackedRoundTripIsBitwiseEqualToInMemory) {
-  // One real session blob (the format evictions actually park) plus a
-  // synthetic blob covering every byte value.
-  const auto mgr = make_maze_manager(0, 1);
-  const auto stream = synthetic_stream(6);
-  replay_window(*mgr, stream, 1, 0, 6, 2);
-  const std::vector<std::byte> session_blob = mgr->snapshot_session(0);
-  ASSERT_FALSE(session_blob.empty());
-  std::vector<std::byte> pattern(4096);
-  for (std::size_t i = 0; i < pattern.size(); ++i) {
-    pattern[i] = static_cast<std::byte>(i & 0xFFu);
-  }
-
-  InMemorySnapshotStore mem;
-  FileSnapshotStore file(fresh_store_dir("snapshot_store_roundtrip"));
-  mem.put(7, session_blob);
-  mem.put(8, pattern);
-  file.put(7, session_blob);
-  file.put(8, pattern);
-  EXPECT_EQ(mem.count(), 2u);
-  EXPECT_EQ(file.count(), 2u);
-  EXPECT_EQ(mem.bytes(), session_blob.size() + pattern.size());
-  EXPECT_EQ(file.bytes(), mem.bytes());
-  EXPECT_TRUE(std::filesystem::exists(file.directory() / "7.snap"));
-
-  const auto mem_back = mem.take(7);
-  const auto file_back = file.take(7);
-  ASSERT_TRUE(mem_back.has_value());
-  ASSERT_TRUE(file_back.has_value());
-  EXPECT_EQ(*mem_back, session_blob);  // std::byte vectors compare bitwise
-  EXPECT_EQ(*file_back, session_blob);
-  EXPECT_EQ(*mem_back, *file_back);
-  EXPECT_EQ(*mem.take(8), *file.take(8));
-
-  // take() removes: the second take misses and the counters drain.
-  EXPECT_FALSE(mem.take(7).has_value());
-  EXPECT_FALSE(file.take(7).has_value());
-  EXPECT_EQ(mem.count(), 0u);
-  EXPECT_EQ(file.count(), 0u);
-  EXPECT_EQ(file.bytes(), 0u);
-  EXPECT_FALSE(std::filesystem::exists(file.directory() / "7.snap"));
-}
-
-TEST(SnapshotStore, FileBackedBlobsSurviveTheStoreInstance) {
-  const std::filesystem::path dir = fresh_store_dir("snapshot_store_persist");
-  std::vector<std::byte> blob(512);
-  for (std::size_t i = 0; i < blob.size(); ++i) {
-    blob[i] = static_cast<std::byte>((i * 7) & 0xFFu);
-  }
-  {
-    FileSnapshotStore first(dir);
-    first.put(42, blob);
-  }  // Store destroyed; only the file remains.
-  // Stems that parse as 42 but are not the store's spelling of it: the
-  // scan must leave them alone rather than index them under id 42.
-  for (const char* foreign : {"42.old.snap", "042.snap"}) {
-    std::ofstream(dir / foreign, std::ios::binary) << "not a snapshot blob";
-  }
-  FileSnapshotStore second(dir);  // Adopts the existing blob on scan.
-  EXPECT_EQ(second.count(), 1u);
-  EXPECT_EQ(second.bytes(), blob.size());
-  const auto back = second.take(42);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, blob);
-}
-
-// ---------------------------------------------------------------------------
 // Sharding: trace invariance, per-shard accounting, cross-manager
 // migration over a shared store.
 // ---------------------------------------------------------------------------
@@ -981,9 +896,9 @@ TEST(SessionManager, ReportBreaksOccupancyAndEvictionsDownPerShard) {
 }
 
 /// The rebalancing seam end-to-end: manager A evicts every session into
-/// a shared FILE-BACKED store, manager B (different shard count) takes
-/// the blobs, restores them, and finishes the stream — the stitched
-/// traces must equal an uninterrupted single-manager run bit for bit.
+/// a shared store, manager B (different shard count) takes the blobs,
+/// restores them, and finishes the stream — the stitched traces must
+/// equal an uninterrupted single-manager run bit for bit.
 TEST(SessionManager, CrossManagerMigrationOverSharedStoreIsBitIdentical) {
   constexpr std::size_t kSessions = 3;
   constexpr std::size_t kTicks = 12;
@@ -991,14 +906,11 @@ TEST(SessionManager, CrossManagerMigrationOverSharedStoreIsBitIdentical) {
   const auto straight = make_maze_manager(0, kSessions);
   replay_window(*straight, stream, kSessions, 0, kTicks, 3);
 
-  const auto store = std::make_shared<FileSnapshotStore>(
-      fresh_store_dir("snapshot_store_migrate"));
+  const auto store = std::make_shared<InMemorySnapshotStore>();
   const auto source = make_maze_manager(0, kSessions, /*shards=*/2, store);
   replay_window(*source, stream, kSessions, 0, kTicks / 2, 3);
   for (std::size_t i = 0; i < kSessions; ++i) source->evict_session(i);
   EXPECT_EQ(store->count(), kSessions);
-  // The parked state is real files by now, not manager memory.
-  EXPECT_TRUE(std::filesystem::exists(store->directory() / "0.snap"));
 
   const auto target = make_maze_manager(0, kSessions, /*shards=*/3, store);
   for (std::size_t i = 0; i < kSessions; ++i) {

@@ -12,9 +12,13 @@
 // Usage: debug_crowd [kind] [world_seed] [plan] [crossers] [pace] [seeds]
 //                    [particles] [z_short] [stale_level] [mutation_seed0]
 //   kind: 0 office, 1 warehouse, 2 loop corridor
+//   plan: index into the world's flight plans (0 tour, 1 reverse,
+//     2 shuttle)
 //   stale_level: 0 pristine (default), 1 light, 2 heavy — seed s of the
 //     sweep mutates the world with mutation_seed0 + s, so gate thresholds
 //     marginalize over staleness draws the same way StaleMapStats does
+// A kind, plan or stale level out of range prints the usage line on
+// stderr and exits with code 2.
 
 #include <cstdio>
 #include <cstdlib>
@@ -90,6 +94,16 @@ ModelResult replay(const map::OccupancyGrid& grid, const sim::Sequence& seq,
   return out;
 }
 
+int usage_error(const char* what) {
+  std::fprintf(stderr,
+               "debug_crowd: %s\n"
+               "usage: debug_crowd [kind 0-2] [world_seed] [plan] "
+               "[crossers] [pace] [seeds] [particles] [z_short] "
+               "[stale_level 0-2] [mutation_seed0]\n",
+               what);
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -108,11 +122,18 @@ int main(int argc, char** argv) {
   const int stale_level = argc > 9 ? std::atoi(argv[9]) : 0;
   const std::uint64_t mutation_seed0 =
       argc > 10 ? std::strtoull(argv[10], nullptr, 10) : 500;
+  if (kind_i < 0 || kind_i > 2) return usage_error("kind must be 0, 1 or 2");
+  if (stale_level < 0 || stale_level > 2) {
+    return usage_error("stale_level must be 0, 1 or 2");
+  }
 
   sim::WorldGenConfig wc;
   wc.seed = world_seed;
   const auto kind = static_cast<sim::GeneratedWorldKind>(kind_i);
   sim::GeneratedWorld world = sim::generate_world(kind, wc);
+  if (plan >= world.plans.size()) {
+    return usage_error("plan is not an index into the world's flight plans");
+  }
   const map::OccupancyGrid grid =
       sim::rasterize_environment(world.env, 0.05, 0.01);
   std::printf("world %s seed=%llu plan=%s crossers=%zu pace=%d stale=%s\n",
