@@ -315,10 +315,12 @@ void Localizer::load_snapshot(map::SnapshotReader& reader) {
   TOFMCL_EXPECTS(reader.u64() == config_.mcl.seed,
                  "snapshot seed does not match this localizer");
   const std::uint8_t flags = reader.u8();
+  // on_odometry never stores a non-finite anchor; one from a blob would
+  // turn every particle into NaN at the next correction.
   const auto read_pose = [&]() {
-    const double x = reader.f64();
-    const double y = reader.f64();
-    const double yaw = reader.f64();
+    const double x = reader.finite_f64();
+    const double y = reader.finite_f64();
+    const double yaw = reader.finite_f64();
     return Pose2{x, y, yaw};
   };
   current_odom_.reset();

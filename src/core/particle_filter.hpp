@@ -597,7 +597,9 @@ class ParticleFilter {
   /// Restores what save_state() wrote, re-sizing the particle storage to
   /// the snapshotted active count. The injection support is NOT part of
   /// the blob (it is map data) — the owner re-arms it, exactly as both
-  /// start paths do.
+  /// start paths do. A non-finite estimate or monitor value is refused
+  /// with IoError: the filter never writes one, and a NaN `w_slow` would
+  /// silently disable injection.
   void load_state(map::SnapshotReader& r) {
     const std::size_t n = static_cast<std::size_t>(r.u64());
     TOFMCL_EXPECTS(n > 0 && n <= config_.num_particles,
@@ -610,16 +612,16 @@ class ParticleFilter {
                    "snapshot RNG stream count does not match chunks");
     for (Rng& rng : st_.rngs) rng = read_rng(r);
     st_.resample_rng = read_rng(r);
-    const double px = r.f64();
-    const double py = r.f64();
-    const double pyaw = r.f64();
+    const double px = r.finite_f64();
+    const double py = r.finite_f64();
+    const double pyaw = r.finite_f64();
     st_.estimate.pose = Pose2{px, py, pyaw};
-    st_.estimate.position_stddev = r.f64();
-    st_.estimate.yaw_concentration = r.f64();
+    st_.estimate.position_stddev = r.finite_f64();
+    st_.estimate.yaw_concentration = r.finite_f64();
     st_.estimate.valid = r.boolean();
-    st_.monitor.w_slow = r.f64();
-    st_.monitor.w_fast = r.f64();
-    st_.monitor.last_inject_p = r.f64();
+    st_.monitor.w_slow = r.finite_f64();
+    st_.monitor.w_fast = r.finite_f64();
+    st_.monitor.last_inject_p = r.finite_f64();
     st_.blind_streak = static_cast<std::size_t>(r.u64());
     resize_storage(n);
     r.array(st_.particles.x);

@@ -6,14 +6,25 @@
 
 namespace tofmcl::estimation {
 
-Ekf::Ekf(const EkfConfig& config, const Pose2& initial_pose)
-    : config_(config) {
+namespace {
+// Process noise densities (per √s).
+constexpr double kSigmaVel = 0.25;  ///< Body velocity random walk (m/s/√s).
+constexpr double kSigmaYaw = 0.01;  ///< Yaw noise on top of gyro (rad/√s).
+constexpr double kSigmaPos = 0.0;   ///< Extra position noise (m/√s).
+/// Measurement noise of one flow velocity axis (m/s).
+constexpr double kFlowNoise = 0.03;
+// Initial covariance diagonal.
+constexpr double kInitPosVar = 1e-6;
+constexpr double kInitYawVar = 1e-6;
+constexpr double kInitVelVar = 0.01;
+}  // namespace
+
+Ekf::Ekf(const Pose2& initial_pose) {
   state_(0, 0) = initial_pose.x();
   state_(1, 0) = initial_pose.y();
   state_(2, 0) = initial_pose.yaw;
-  covariance_ = StateMat::diagonal({config.init_pos_var, config.init_pos_var,
-                                    config.init_yaw_var, config.init_vel_var,
-                                    config.init_vel_var});
+  covariance_ = StateMat::diagonal({kInitPosVar, kInitPosVar, kInitYawVar,
+                                    kInitVelVar, kInitVelVar});
 }
 
 void Ekf::predict(double gyro_yaw_rate, double dt) {
@@ -40,9 +51,9 @@ void Ekf::predict(double gyro_yaw_rate, double dt) {
 
   // Process noise: velocity random walk, yaw noise (gyro white noise is
   // part of this), optional extra position noise.
-  const double qp = config_.sigma_pos * config_.sigma_pos * dt;
-  const double qy = config_.sigma_yaw * config_.sigma_yaw * dt;
-  const double qv = config_.sigma_vel * config_.sigma_vel * dt;
+  const double qp = kSigmaPos * kSigmaPos * dt;
+  const double qy = kSigmaYaw * kSigmaYaw * dt;
+  const double qv = kSigmaVel * kSigmaVel * dt;
   const StateMat Q = StateMat::diagonal({qp, qp, qy, qv, qv});
 
   covariance_ = F * covariance_ * F.transposed() + Q;
@@ -56,8 +67,8 @@ void Ekf::update_flow(Vec2 velocity_body) {
   H(1, 4) = 1.0;
 
   Mat<2, 2> R;
-  R(0, 0) = config_.flow_noise * config_.flow_noise;
-  R(1, 1) = config_.flow_noise * config_.flow_noise;
+  R(0, 0) = kFlowNoise * kFlowNoise;
+  R(1, 1) = kFlowNoise * kFlowNoise;
 
   Vec<2> innovation;
   innovation(0, 0) = velocity_body.x - state_(3, 0);

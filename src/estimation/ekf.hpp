@@ -10,24 +10,13 @@
 /// against the map.
 ///
 /// State: x = [px, py, θ, vbx, vby]ᵀ (world position, yaw, body velocity).
+/// The process noise, flow measurement noise and initial covariance are
+/// constants in ekf.cpp.
 
 #include "common/geometry.hpp"
 #include "common/matrix.hpp"
 
 namespace tofmcl::estimation {
-
-struct EkfConfig {
-  /// Process noise densities (per √s).
-  double sigma_vel = 0.25;      ///< Body velocity random walk (m/s/√s).
-  double sigma_yaw = 0.01;      ///< Yaw process noise on top of gyro (rad/√s).
-  double sigma_pos = 0.0;       ///< Extra position process noise (m/√s).
-  /// Measurement noise of one flow velocity axis (m/s).
-  double flow_noise = 0.03;
-  /// Initial covariance diagonal.
-  double init_pos_var = 1e-6;
-  double init_yaw_var = 1e-6;
-  double init_vel_var = 0.01;
-};
 
 class Ekf {
  public:
@@ -35,7 +24,7 @@ class Ekf {
   using StateVec = Vec<kStateDim>;
   using StateMat = Mat<kStateDim, kStateDim>;
 
-  explicit Ekf(const EkfConfig& config = {}, const Pose2& initial_pose = {});
+  explicit Ekf(const Pose2& initial_pose = {});
 
   /// Propagate with the gyro yaw-rate measurement over dt seconds.
   void predict(double gyro_yaw_rate, double dt);
@@ -51,7 +40,6 @@ class Ekf {
   const StateMat& covariance() const { return covariance_; }
 
  private:
-  EkfConfig config_;
   StateVec state_{};
   StateMat covariance_{};
 };

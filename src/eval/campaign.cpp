@@ -281,19 +281,19 @@ void Campaign::prepare_shared(const CampaignOptions& options) {
     }
     auto [env, plans] = build_world(key.kind, key.seed, key.laps);
     // The localization map is ALWAYS rasterized from the pristine
-    // environment; staleness mutates only what the drone flies through
-    // and senses below.
-    map::OccupancyGrid grid = sim::rasterize_environment(
-        env, spec_.map_resolution, spec_.map_error_sigma);
+    // environment (5 cm cells, 1 cm map-acquisition error: the
+    // rasterizer's defaults); staleness mutates only what the drone flies
+    // through and senses below.
+    map::OccupancyGrid grid = sim::rasterize_environment(env);
     auto maps = core::build_map_resources(grid, spec_.mcl, precisions);
     World world{std::move(env), std::move(grid), std::move(maps),
                 std::move(plans), std::nullopt};
     if (key.mutation_level !=
         static_cast<std::uint8_t>(sim::MutationLevel::kNone)) {
-      sim::MutationConfig mc;
-      mc.level = static_cast<sim::MutationLevel>(key.mutation_level);
-      world.stale_env =
-          sim::mutate_world(world.env, world.plans, mc, key.mutation_seed);
+      world.stale_env = sim::mutate_world(
+          world.env, world.plans,
+          static_cast<sim::MutationLevel>(key.mutation_level),
+          key.mutation_seed);
     }
     worlds_.emplace(key, std::move(world));
   }

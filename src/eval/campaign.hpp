@@ -145,9 +145,6 @@ struct CampaignSpec {
   std::vector<std::size_t> particle_counts;
   /// Base MCL parameters; num_particles and seed are overridden per run.
   core::MclConfig mcl;
-  double map_resolution = 0.05;
-  /// Map-acquisition error (m) used when rasterizing the localization map.
-  double map_error_sigma = 0.01;
   /// Master seed; all per-run seeds derive from it and the matrix
   /// coordinates.
   std::uint64_t master_seed = 2023;

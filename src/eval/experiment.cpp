@@ -68,7 +68,6 @@ SweepResult run_accuracy_sweep(const SweepConfig& config) {
   }
   spec.seeds_per_cell = config.seeds_per_sequence;
   spec.mcl = config.mcl;
-  spec.map_error_sigma = config.map_error_sigma;
   spec.master_seed = config.master_seed;
   Campaign campaign(std::move(spec));
 

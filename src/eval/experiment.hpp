@@ -51,8 +51,6 @@ struct SweepConfig {
   std::size_t seeds_per_sequence = 6;
   /// Base MCL parameters applied to every run (num_particles overridden).
   core::MclConfig mcl;
-  /// Map-acquisition error (m) used when rasterizing the localization map.
-  double map_error_sigma = 0.01;
   /// Campaign thread count (CampaignOptions::threads): 1 replays one run
   /// at a time, any other value runs the replays on a pool of that many
   /// workers (0 = hardware). Results are bit-identical either way.

@@ -19,6 +19,7 @@
 /// the caller's job.
 
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -79,6 +80,12 @@ class SnapshotReader {
   std::uint64_t u64() { return read<std::uint64_t>(); }
   float f32() { return read<float>(); }
   double f64() { return read<double>(); }
+  /// An f64 the format requires to be finite: NaN or ±inf is an IoError.
+  double finite_f64() {
+    const double v = f64();
+    if (!std::isfinite(v)) throw IoError("snapshot holds a non-finite value");
+    return v;
+  }
   bool boolean() { return u8() != 0; }
   /// Fills `out` with what array() wrote for that many values.
   void array(std::span<float> out) { copy(out.data(), out.size_bytes()); }

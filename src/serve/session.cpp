@@ -35,20 +35,19 @@ std::uint64_t read_count(map::SnapshotReader& reader, std::size_t record_bytes,
 
 }  // namespace
 
-Session::Session(Unstarted, std::size_t id, std::string map_key,
+Session::Session(Unstarted, std::string map_key,
                  std::shared_ptr<const core::ScoringContext> ctx,
                  const SessionOptions& opts)
-    : id_(id),
-      map_key_(std::move(map_key)),
+    : map_key_(std::move(map_key)),
       localizer_(std::move(ctx), knobs_of(opts), executor_),
       capacity_(opts.queue_capacity) {
   TOFMCL_EXPECTS(capacity_ >= 1, "session queue capacity must be >= 1");
 }
 
-Session::Session(std::size_t id, std::string map_key,
+Session::Session(std::string map_key,
                  std::shared_ptr<const core::ScoringContext> ctx,
                  const SessionOptions& opts)
-    : Session(Unstarted{}, id, std::move(map_key), std::move(ctx), opts) {
+    : Session(Unstarted{}, std::move(map_key), std::move(ctx), opts) {
   if (opts.start) {
     localizer_.start_at(opts.start->pose, opts.start->sigma_xy,
                         opts.start->sigma_yaw);
@@ -58,10 +57,10 @@ Session::Session(std::size_t id, std::string map_key,
   refresh_footprint();
 }
 
-Session::Session(std::size_t id, std::string map_key,
+Session::Session(std::string map_key,
                  std::shared_ptr<const core::ScoringContext> ctx,
                  const SessionOptions& opts, std::span<const std::byte> blob)
-    : Session(Unstarted{}, id, std::move(map_key), std::move(ctx), opts) {
+    : Session(Unstarted{}, std::move(map_key), std::move(ctx), opts) {
   map::SnapshotReader reader(blob);
   if (reader.u32() != kSessionMagic) {
     throw IoError("session snapshot: bad magic");

@@ -74,7 +74,7 @@ class Session {
   /// Starts the localizer (tracking from `opts.start`, else global) on the
   /// shared per-map ScoringContext; the session contributes only its
   /// SessionKnobs (seed and particle budget from `opts.config.mcl`).
-  Session(std::size_t id, std::string map_key,
+  Session(std::string map_key,
           std::shared_ptr<const core::ScoringContext> ctx,
           const SessionOptions& opts);
 
@@ -84,7 +84,7 @@ class Session {
   /// resumes bit-identically where it left off. Throws common::IoError on
   /// a malformed/mis-versioned blob, PreconditionError when the blob was
   /// taken under different knobs than `opts` carries.
-  Session(std::size_t id, std::string map_key,
+  Session(std::string map_key,
           std::shared_ptr<const core::ScoringContext> ctx,
           const SessionOptions& opts, std::span<const std::byte> blob);
 
@@ -97,7 +97,6 @@ class Session {
   /// inputs (snapshot between pumps, after the queue drained); asserted.
   std::vector<std::byte> snapshot() const;
 
-  std::size_t id() const { return id_; }
   const std::string& map_key() const { return map_key_; }
 
   /// Thread-safe enqueue with drop-oldest admission control.
@@ -153,11 +152,10 @@ class Session {
   /// Tag-dispatched common ctor: builds the localizer on the context but
   /// leaves it unstarted (the public ctors then start or restore it).
   struct Unstarted {};
-  Session(Unstarted, std::size_t id, std::string map_key,
+  Session(Unstarted, std::string map_key,
           std::shared_ptr<const core::ScoringContext> ctx,
           const SessionOptions& opts);
 
-  std::size_t id_;
   std::string map_key_;
   /// Per-filter chunk execution stays serial: the serving layer extracts
   /// parallelism ACROSS sessions, not within one.

@@ -75,12 +75,13 @@ std::size_t SessionManager::open_session(const std::string& map_key,
     }
     ctx = it->second;
   }
-  // Dense id assignment round-robins sessions across shards; only the
-  // owning shard is locked to place the slot, so opens on different
-  // shards never contend.
-  const std::size_t id = next_id_.fetch_add(1, std::memory_order_acq_rel);
+  // The Session is built before an id is taken, so an open its
+  // constructor rejects leaves no id behind. Dense id assignment
+  // round-robins sessions across shards; only the owning shard is locked
+  // to place the slot, so opens on different shards never contend.
   auto slot = std::make_unique<Slot>();
-  slot->live = std::make_unique<Session>(id, map_key, ctx, opts);
+  slot->live = std::make_unique<Session>(map_key, ctx, opts);
+  const std::size_t id = next_id_.fetch_add(1, std::memory_order_acq_rel);
   slot->map_key = map_key;
   slot->ctx = std::move(ctx);
   slot->opts = opts;
@@ -109,7 +110,7 @@ Admission SessionManager::push(std::size_t session_id, SessionInput input) {
     TOFMCL_EXPECTS(blob.has_value(),
                    "evicted session has no stashed snapshot");
     try {
-      restore_locked(slot, session_id, *blob);
+      restore_locked(slot, *blob);
     } catch (...) {
       // The store has no peek: put a rejected stash back, so the session
       // stays evicted with its blob instead of losing it.
@@ -223,9 +224,9 @@ void SessionManager::evict_locked(Slot& slot, std::size_t id) {
   slot.live.reset();
 }
 
-void SessionManager::restore_locked(Slot& slot, std::size_t id,
+void SessionManager::restore_locked(Slot& slot,
                                     std::span<const std::byte> blob) {
-  slot.live = std::make_unique<Session>(id, slot.map_key, slot.ctx, slot.opts,
+  slot.live = std::make_unique<Session>(slot.map_key, slot.ctx, slot.opts,
                                         blob);
   slot.idle_pumps = 0;
   // The restored Session carries its counters again.
@@ -260,7 +261,7 @@ void SessionManager::restore_session(std::size_t session_id,
   // Restore before touching the store: a rejected blob must leave an
   // evicted session's stashed snapshot in place. Once it succeeded, the
   // explicit restore supersedes whatever eviction stashed.
-  restore_locked(slot, session_id, blob);
+  restore_locked(slot, blob);
   store_->take(session_id);
 }
 

@@ -159,8 +159,10 @@ class SessionManager {
   /// Opens a session on a defined map and returns its id. Thread-safe;
   /// concurrent opens of one map share a single scoring context (keyed by
   /// map + scoring fingerprint), built once. A config the map's resources
-  /// were not built for throws PreconditionError, caches nothing and
-  /// consumes no id. Ids are dense and round-robin across shards.
+  /// were not built for throws PreconditionError and caches nothing; it,
+  /// like any open the Session constructor rejects (say, a zero queue
+  /// capacity), consumes no id. Ids are dense and round-robin across
+  /// shards.
   std::size_t open_session(const std::string& map_key,
                            const SessionOptions& opts);
 
@@ -274,8 +276,7 @@ class SessionManager {
   /// `blob` and only then commits it to `slot` (live again, idle clock
   /// and retained stats reset). A rejected blob throws and leaves the
   /// slot as it was. Caller holds the shard mutex.
-  void restore_locked(Slot& slot, std::size_t id,
-                      std::span<const std::byte> blob);
+  void restore_locked(Slot& slot, std::span<const std::byte> blob);
   void add_pump_seconds(double dt);
 
   ServeOptions opts_;

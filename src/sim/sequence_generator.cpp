@@ -4,8 +4,18 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "estimation/ekf.hpp"
+#include "estimation/sensor_models.hpp"
+#include "sim/drone.hpp"
 
 namespace tofmcl::sim {
+
+namespace {
+constexpr double kSimDt = 0.01;       ///< Physics/EKF tick (100 Hz).
+constexpr double kOdomRateHz = 50.0;  ///< Recorded state-estimate rate.
+static_assert(kSimDt > 0.0, "simulation step must be positive");
+static_assert(kOdomRateHz > 0.0, "odometry rate must be positive");
+}  // namespace
 
 SequenceGeneratorConfig default_generator_config() {
   SequenceGeneratorConfig cfg;
@@ -13,8 +23,8 @@ SequenceGeneratorConfig default_generator_config() {
   cfg.front_tof.mount = Pose2{0.02, 0.0, 0.0};
   cfg.rear_tof.sensor_id = 1;
   cfg.rear_tof.mount = Pose2{-0.02, 0.0, kPi};
-  cfg.front_tof.flight_height_m = cfg.drone.flight_height_m;
-  cfg.rear_tof.flight_height_m = cfg.drone.flight_height_m;
+  cfg.front_tof.flight_height_m = DroneConfig{}.flight_height_m;
+  cfg.rear_tof.flight_height_m = DroneConfig{}.flight_height_m;
   return cfg;
 }
 
@@ -98,17 +108,15 @@ std::vector<FlightPlan> standard_flight_plans() {
 
 Sequence generate_sequence(const map::World& world, const FlightPlan& plan,
                            const SequenceGeneratorConfig& config, Rng& rng) {
-  TOFMCL_EXPECTS(config.sim_dt_s > 0.0, "simulation step must be positive");
-  TOFMCL_EXPECTS(config.odom_rate_hz > 0.0 && config.tof_rate_hz > 0.0,
-                 "sample rates must be positive");
+  TOFMCL_EXPECTS(config.tof_rate_hz > 0.0, "ToF frame rate must be positive");
 
-  Drone drone(config.drone, plan.start);
+  Drone drone(DroneConfig{}, plan.start);
   WaypointController controller(plan.path, plan.controller);
-  estimation::Gyro gyro(config.gyro, rng);
-  estimation::FlowSensor flow(config.flow, rng);
+  estimation::Gyro gyro(estimation::GyroConfig{}, rng);
+  estimation::FlowSensor flow(estimation::FlowConfig{}, rng);
   // The odometry frame starts at its own origin — only relative motion is
   // meaningful, as on the real platform.
-  estimation::Ekf ekf(config.ekf, Pose2{});
+  estimation::Ekf ekf(Pose2{});
   const sensor::MultizoneToF front(config.front_tof);
   const sensor::MultizoneToF rear(config.rear_tof);
 
@@ -116,7 +124,7 @@ Sequence generate_sequence(const map::World& world, const FlightPlan& plan,
   seq.name = plan.name;
   seq.min_clearance_m = world.clearance(drone.pose().position);
 
-  const double odom_period = 1.0 / config.odom_rate_hz;
+  const double odom_period = 1.0 / kOdomRateHz;
   const double tof_period = 1.0 / config.tof_rate_hz;
   double next_odom_t = 0.0;
   double next_tof_t = tof_period / 2.0;  // first frame after some motion
@@ -124,12 +132,11 @@ Sequence generate_sequence(const map::World& world, const FlightPlan& plan,
   double t = 0.0;
   while (!controller.done() && t < config.timeout_s) {
     const VelocityCommand cmd = controller.command(drone.pose());
-    drone.step(cmd, config.sim_dt_s);
-    t += config.sim_dt_s;
+    drone.step(cmd, kSimDt);
+    t += kSimDt;
 
-    const double gyro_meas = gyro.measure(drone.yaw_rate(), config.sim_dt_s,
-                                          rng);
-    ekf.predict(gyro_meas, config.sim_dt_s);
+    const double gyro_meas = gyro.measure(drone.yaw_rate(), kSimDt, rng);
+    ekf.predict(gyro_meas, kSimDt);
     const estimation::FlowMeasurement flow_meas =
         flow.measure(drone.velocity_body(), rng);
     if (flow_meas.valid) ekf.update_flow(flow_meas.velocity_body);

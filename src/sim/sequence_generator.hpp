@@ -6,33 +6,26 @@
 /// plan through the maze while the gyro/flow models feed the EKF (the
 /// drifting odometry) and the two multizone ToF sensors measure the true
 /// world. The result is a Sequence — the same data triple the paper
-/// recorded on the real platform.
+/// recorded on the real platform. The drone, gyro, flow and EKF models run
+/// with their default configs on a 100 Hz physics tick, and odometry is
+/// recorded at 50 Hz (constants in sequence_generator.cpp).
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "estimation/ekf.hpp"
-#include "estimation/sensor_models.hpp"
 #include "map/world.hpp"
 #include "sensor/tof_sensor.hpp"
 #include "sim/controller.hpp"
 #include "sim/dataset.hpp"
-#include "sim/drone.hpp"
 #include "sim/dynamic_obstacles.hpp"
 
 namespace tofmcl::sim {
 
-/// All knobs of the data-generation pipeline.
+/// The data-generation knobs a caller sets.
 struct SequenceGeneratorConfig {
-  double sim_dt_s = 0.01;        ///< Physics/EKF tick (100 Hz).
-  double odom_rate_hz = 50.0;    ///< Recorded state-estimate rate.
   double tof_rate_hz = 15.0;     ///< Per-sensor frame rate (8×8 limit).
   double timeout_s = 180.0;      ///< Abort limit for a plan.
-  DroneConfig drone;
-  estimation::GyroConfig gyro;
-  estimation::FlowConfig flow;
-  estimation::EkfConfig ekf;
   sensor::TofSensorConfig front_tof;  ///< Forward-facing sensor.
   sensor::TofSensorConfig rear_tof;   ///< Backward-facing sensor.
   /// Moving entities composited into every rendered ToF frame (the

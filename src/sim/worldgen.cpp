@@ -17,6 +17,48 @@ namespace {
 constexpr double kPillarSide = 0.15;
 constexpr double kPlanResolution = 0.05;
 
+// The building every generator lays out: 9 m × 6 m, with rooms and aisles
+// sized so walls stay inside the ToF ranging distance (4 m) and mostly
+// inside the EDT truncation radius (1.5 m). Doorways must pass the drone
+// (Crazyflie diameter ≈ 0.1 m) with control margin.
+constexpr double kWidth = 9.0;
+constexpr double kHeight = 6.0;
+constexpr double kDoorway = 0.7;
+constexpr double kDroneDiameter = 0.1;
+
+// Office: central corridor width, and the room-width range along it.
+constexpr double kCorridor = 1.4;
+constexpr double kMinRoom = 1.8;
+constexpr double kMaxRoom = 3.2;
+
+// Warehouse: shelving/pallet boxes to attempt, their edge range, and the
+// guaranteed aisle between boxes and walls.
+constexpr std::size_t kClutterCount = 12;
+constexpr double kClutterMin = 0.35;
+constexpr double kClutterMax = 0.9;
+constexpr double kAisle = 0.8;
+
+// Loop corridor: ring width around the solid core, and the number of
+// symmetry-breaking wall pillars.
+constexpr double kLoopCorridor = 1.2;
+constexpr std::size_t kLoopPillars = 5;
+
+static_assert(kWidth >= 4.0 && kHeight >= 4.0,
+              "generated worlds must be at least 4 m x 4 m");
+static_assert(kDoorway >= kDroneDiameter + 0.4,
+              "doorways must pass the drone with control margin");
+static_assert(kMinRoom >= kDoorway + 0.3,
+              "rooms must be wide enough to hold a doorway");
+static_assert(kMaxRoom > kMinRoom, "max room must exceed min");
+static_assert(kCorridor >= 0.8 && kLoopCorridor >= 0.8,
+              "corridors must be flyable");
+static_assert(kClutterMin > 0.0 && kClutterMax >= kClutterMin,
+              "clutter size range is inverted");
+static_assert(kHeight / 2.0 - kCorridor / 2.0 >= kMinRoom * 0.6,
+              "office too low for rooms on both corridor sides");
+static_assert(kWidth > 3.0 * kLoopCorridor && kHeight > 3.0 * kLoopCorridor,
+              "loop corridor leaves no solid core");
+
 /// Planner settings for tour construction: clearance floor well above the
 /// rasterized wall inflation plus the controller's corner-cutting
 /// tolerance, so flown paths never clip a wall.
@@ -25,21 +67,6 @@ plan::PlannerConfig tour_planner() {
   pc.min_clearance_m = 0.2;
   pc.comfort_clearance_m = 0.45;
   return pc;
-}
-
-void validate(const WorldGenConfig& c) {
-  TOFMCL_EXPECTS(c.width_m >= 4.0 && c.height_m >= 4.0,
-                 "generated worlds must be at least 4 m x 4 m");
-  TOFMCL_EXPECTS(c.doorway_m >= c.drone_diameter_m + 0.4,
-                 "doorways must pass the drone with control margin");
-  TOFMCL_EXPECTS(c.min_room_m >= c.doorway_m + 0.3,
-                 "rooms must be wide enough to hold a doorway");
-  TOFMCL_EXPECTS(c.max_room_m > c.min_room_m, "max room must exceed min");
-  TOFMCL_EXPECTS(c.corridor_m >= 0.8 && c.loop_corridor_m >= 0.8,
-                 "corridors must be flyable");
-  TOFMCL_EXPECTS(c.clutter_min_m > 0.0 && c.clutter_max_m >= c.clutter_min_m,
-                 "clutter size range is inverted");
-  TOFMCL_EXPECTS(c.tour_laps >= 1, "a tour needs at least one lap");
 }
 
 /// Splits [0, span] into segments of width ∈ [min_w, ~max_w]; returns the
@@ -76,14 +103,12 @@ void add_wall_with_gaps(map::World& world, double y, double x0, double x1,
   if (x1 - x > 1e-9) world.add_segment({x, y}, {x1, y});
 }
 
-void build_office(const WorldGenConfig& c, Rng& rng,
-                  EvaluationEnvironment& env, std::vector<Vec2>& pois) {
-  const double w = c.width_m;
-  const double h = c.height_m;
-  const double y_lo = h / 2.0 - c.corridor_m / 2.0;
-  const double y_hi = h / 2.0 + c.corridor_m / 2.0;
-  TOFMCL_EXPECTS(y_lo >= c.min_room_m * 0.6,
-                 "office too low for rooms on both corridor sides");
+void build_office(Rng& rng, EvaluationEnvironment& env,
+                  std::vector<Vec2>& pois) {
+  const double w = kWidth;
+  const double h = kHeight;
+  const double y_lo = h / 2.0 - kCorridor / 2.0;
+  const double y_hi = h / 2.0 + kCorridor / 2.0;
   env.world.add_rectangle({{0.0, 0.0}, {w, h}});
 
   // One band of rooms on each side of the corridor. Each band: vertical
@@ -91,7 +116,7 @@ void build_office(const WorldGenConfig& c, Rng& rng,
   // per room, and a feature pillar on the exterior wall of every room.
   const auto build_band = [&](double band_lo, double band_hi, bool top) {
     const std::vector<double> cuts =
-        split_span(w, c.min_room_m, c.max_room_m, rng);
+        split_span(w, kMinRoom, kMaxRoom, rng);
     for (const double cut : cuts) {
       env.world.add_segment({cut, band_lo}, {cut, band_hi});
     }
@@ -104,8 +129,8 @@ void build_office(const WorldGenConfig& c, Rng& rng,
       const double r0 = edges[i];
       const double r1 = edges[i + 1];
       const double g0 =
-          rng.uniform(r0 + kPillarSide, r1 - kPillarSide - c.doorway_m);
-      gaps.emplace_back(g0, g0 + c.doorway_m);
+          rng.uniform(r0 + kPillarSide, r1 - kPillarSide - kDoorway);
+      gaps.emplace_back(g0, g0 + kDoorway);
       // Pillar against the exterior wall, away from the partition walls.
       const double px = rng.uniform(r0 + 0.2, r1 - 0.2 - kPillarSide);
       add_pillar(env.world,
@@ -134,29 +159,29 @@ double point_box_distance(Vec2 p, const Aabb& box) {
   return std::hypot(dx, dy);
 }
 
-void build_warehouse(const WorldGenConfig& c, Rng& rng,
-                     EvaluationEnvironment& env, std::vector<Vec2>& pois) {
-  const double w = c.width_m;
-  const double h = c.height_m;
+void build_warehouse(Rng& rng, EvaluationEnvironment& env,
+                     std::vector<Vec2>& pois) {
+  const double w = kWidth;
+  const double h = kHeight;
   env.world.add_rectangle({{0.0, 0.0}, {w, h}});
 
   // Shelving/pallet boxes dropped by rejection sampling: every box keeps
-  // an aisle of at least aisle_m to every other box and to the exterior
+  // an aisle of at least kAisle to every other box and to the exterior
   // walls, so the hall stays fully connected.
   std::vector<Aabb> boxes;
-  for (std::size_t i = 0; i < c.clutter_count; ++i) {
+  for (std::size_t i = 0; i < kClutterCount; ++i) {
     for (int attempt = 0; attempt < 64; ++attempt) {
-      const double bw = rng.uniform(c.clutter_min_m, c.clutter_max_m);
-      const double bh = rng.uniform(c.clutter_min_m, c.clutter_max_m);
-      const double x0 = rng.uniform(c.aisle_m, w - c.aisle_m - bw);
-      const double y0 = rng.uniform(c.aisle_m, h - c.aisle_m - bh);
+      const double bw = rng.uniform(kClutterMin, kClutterMax);
+      const double bh = rng.uniform(kClutterMin, kClutterMax);
+      const double x0 = rng.uniform(kAisle, w - kAisle - bw);
+      const double y0 = rng.uniform(kAisle, h - kAisle - bh);
       const Aabb box{{x0, y0}, {x0 + bw, y0 + bh}};
       const bool clear = std::none_of(
           boxes.begin(), boxes.end(), [&](const Aabb& other) {
-            return box.min.x - c.aisle_m < other.max.x &&
-                   box.max.x + c.aisle_m > other.min.x &&
-                   box.min.y - c.aisle_m < other.max.y &&
-                   box.max.y + c.aisle_m > other.min.y;
+            return box.min.x - kAisle < other.max.x &&
+                   box.max.x + kAisle > other.min.x &&
+                   box.min.y - kAisle < other.max.y &&
+                   box.max.y + kAisle > other.min.y;
           });
       if (!clear) continue;
       env.world.add_rectangle(box);
@@ -182,13 +207,11 @@ void build_warehouse(const WorldGenConfig& c, Rng& rng,
                  "warehouse generation left too few traversable landmarks");
 }
 
-void build_loop(const WorldGenConfig& c, Rng& rng,
-                EvaluationEnvironment& env, std::vector<Vec2>& pois) {
-  const double w = c.width_m;
-  const double h = c.height_m;
-  const double ring = c.loop_corridor_m;
-  TOFMCL_EXPECTS(w > 3.0 * ring && h > 3.0 * ring,
-                 "loop corridor leaves no solid core");
+void build_loop(Rng& rng, EvaluationEnvironment& env,
+                std::vector<Vec2>& pois) {
+  const double w = kWidth;
+  const double h = kHeight;
+  const double ring = kLoopCorridor;
   env.world.add_rectangle({{0.0, 0.0}, {w, h}});
   const Aabb core{{ring, ring}, {w - ring, h - ring}};
   env.world.add_rectangle(core);
@@ -203,7 +226,7 @@ void build_loop(const WorldGenConfig& c, Rng& rng,
   //  * pillars at seeded random spots fingerprint the remaining walls.
   // One bay per side, placed asymmetrically.
   const double bay_depth =
-      std::min(0.3, ring - c.doorway_m - 0.1);  // keep the ring flyable
+      std::min(0.3, ring - kDoorway - 0.1);  // keep the ring flyable
   for (int side = 0; side < 4; ++side) {
     const bool horizontal = side == 0 || side == 1;
     const double side_len = (horizontal ? w : h) - 2.0 * (ring + 0.8);
@@ -224,7 +247,7 @@ void build_loop(const WorldGenConfig& c, Rng& rng,
     env.world.add_rectangle(bay);
     env.solid_regions.push_back(bay);
   }
-  for (std::size_t i = 0; i < c.loop_pillars; ++i) {
+  for (std::size_t i = 0; i < kLoopPillars; ++i) {
     const int side = static_cast<int>(rng.uniform_index(4));
     const bool horizontal = side == 0 || side == 1;
     const double span = (horizontal ? w : h) - 2.0 * (ring + 0.6);
@@ -374,14 +397,16 @@ const char* to_string(MutationLevel level) {
 
 namespace {
 
-/// Level presets: a count left at 0 in the config takes these. kLight is
-/// "someone tidied up over the weekend"; kHeavy is "the floor got
-/// rearranged since the map was recorded".
-std::size_t preset(std::size_t configured, MutationLevel level,
-                   std::size_t light, std::size_t heavy) {
-  if (configured > 0) return configured;
-  return level == MutationLevel::kHeavy ? heavy : light;
-}
+/// Clearance every added or moved wall keeps to the flight routes, so the
+/// recorded tours stay flyable through the mutated world (m).
+constexpr double kRouteClearance = 0.4;
+/// Added-box edge range (m).
+constexpr double kAddedClutterMin = 0.3;
+constexpr double kAddedClutterMax = 0.6;
+static_assert(kRouteClearance >= 0.15,
+              "route clearance below the flyable floor");
+static_assert(kAddedClutterMin > 0.0 && kAddedClutterMax >= kAddedClutterMin,
+              "clutter size range is inverted");
 
 /// Distance from point p to the segment a–b.
 double point_segment_distance(Vec2 p, Vec2 a, Vec2 b) {
@@ -499,12 +524,11 @@ bool remove_box_outline(map::World& world, const Aabb& box) {
 }
 
 /// True when `box`, inflated by `margin`, is clear of every world segment,
-/// every solid region, every route polyline (by route_clearance) and lies
+/// every solid region, every route polyline (by kRouteClearance) and lies
 /// inside one maze region away from its border.
 bool box_placement_clear(const EvaluationEnvironment& env,
                          const std::vector<std::vector<Vec2>>& routes,
-                         const Aabb& box, double margin,
-                         double route_clearance) {
+                         const Aabb& box, double margin) {
   const Aabb inflated{{box.min.x - margin, box.min.y - margin},
                       {box.max.x + margin, box.max.y + margin}};
   const bool inside_region = std::any_of(
@@ -524,7 +548,7 @@ bool box_placement_clear(const EvaluationEnvironment& env,
   for (const map::Segment& s : env.world.segments()) {
     if (segment_box_distance(s.a, s.b, inflated) <= 0.0) return false;
   }
-  return routes_to_box_distance(routes, box) >= route_clearance;
+  return routes_to_box_distance(routes, box) >= kRouteClearance;
 }
 
 /// A doorway: a gap between two collinear axis-aligned wall segments.
@@ -583,27 +607,22 @@ plan::PlannerConfig validation_planner() {
 
 EvaluationEnvironment mutate_world(const EvaluationEnvironment& env,
                                    const std::vector<FlightPlan>& plans,
-                                   const MutationConfig& config,
-                                   std::uint64_t seed,
+                                   MutationLevel level, std::uint64_t seed,
                                    MutationSummary* summary) {
   MutationSummary local;
   MutationSummary& out = summary != nullptr ? *summary : local;
   out = {};
-  if (config.level == MutationLevel::kNone) return env;
+  if (level == MutationLevel::kNone) return env;
   TOFMCL_EXPECTS(!env.maze_regions.empty(),
                  "mutation needs at least one structured region to work in");
-  TOFMCL_EXPECTS(config.route_clearance_m >= 0.15,
-                 "route clearance below the flyable floor");
-  TOFMCL_EXPECTS(config.clutter_min_m > 0.0 &&
-                     config.clutter_max_m >= config.clutter_min_m,
-                 "clutter size range is inverted");
 
-  const std::size_t n_clutter =
-      preset(config.clutter_add, config.level, 3, 8);
-  const std::size_t n_moved = preset(config.boxes_moved, config.level, 1, 3);
-  const std::size_t n_removed =
-      preset(config.boxes_removed, config.level, 0, 2);
-  const std::size_t n_doors = preset(config.doors_closed, config.level, 1, 3);
+  // Operator counts per level: ceilings, since operators are rejection
+  // sampled.
+  const bool heavy = level == MutationLevel::kHeavy;
+  const std::size_t n_clutter = heavy ? 8 : 3;
+  const std::size_t n_moved = heavy ? 3 : 1;
+  const std::size_t n_removed = heavy ? 2 : 0;
+  const std::size_t n_doors = heavy ? 3 : 1;
 
   EvaluationEnvironment mutated = env;
   const std::vector<std::vector<Vec2>> routes = route_polylines(plans);
@@ -647,10 +666,7 @@ EvaluationEnvironment mutate_world(const EvaluationEnvironment& env,
     for (int attempt = 0; attempt < 64 && !placed; ++attempt) {
       const Vec2 shift{rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)};
       const Aabb moved{box.min + shift, box.max + shift};
-      if (!box_placement_clear(mutated, routes, moved, 0.25,
-                               config.route_clearance_m)) {
-        continue;
-      }
+      if (!box_placement_clear(mutated, routes, moved, 0.25)) continue;
       mutated.world.add_rectangle(moved);
       mutated.solid_regions.push_back(moved);
       placed = true;
@@ -666,33 +682,30 @@ EvaluationEnvironment mutate_world(const EvaluationEnvironment& env,
   // 3. Close or narrow doorways. A gap the routes never thread can be
   //    walled off entirely; a gap on the route is narrowed symmetrically,
   //    never below the drone-corridor floor.
-  if (n_doors > 0) {
-    std::vector<Doorway> doors;
-    detect_doorways(mutated.world, true, doors);
-    detect_doorways(mutated.world, false, doors);
-    std::size_t applied = 0;
-    for (std::size_t i = 0; i < doors.size() && applied < n_doors; ++i) {
-      // Deterministic random order: swap a remaining candidate forward.
-      const std::size_t pick =
-          i + rng.uniform_index(doors.size() - i);
-      std::swap(doors[i], doors[pick]);
-      const Doorway& door = doors[i];
-      if (routes_to_segment_distance(routes, door.a, door.b) >=
-          config.route_clearance_m) {
-        mutated.world.add_segment(door.a, door.b);
-        ++out.doors_closed;
-        ++applied;
-        continue;
-      }
-      const double gap = (door.b - door.a).norm();
-      const double shrink = std::min(0.15, (gap - kMinNarrowedGap) / 2.0);
-      if (shrink < 0.05) continue;
-      const Vec2 dir = (door.b - door.a).normalized();
-      mutated.world.add_segment(door.a, door.a + dir * shrink);
-      mutated.world.add_segment(door.b - dir * shrink, door.b);
-      ++out.doors_narrowed;
+  std::vector<Doorway> doors;
+  detect_doorways(mutated.world, true, doors);
+  detect_doorways(mutated.world, false, doors);
+  std::size_t applied = 0;
+  for (std::size_t i = 0; i < doors.size() && applied < n_doors; ++i) {
+    // Deterministic random order: swap a remaining candidate forward.
+    const std::size_t pick = i + rng.uniform_index(doors.size() - i);
+    std::swap(doors[i], doors[pick]);
+    const Doorway& door = doors[i];
+    if (routes_to_segment_distance(routes, door.a, door.b) >=
+        kRouteClearance) {
+      mutated.world.add_segment(door.a, door.b);
+      ++out.doors_closed;
       ++applied;
+      continue;
     }
+    const double gap = (door.b - door.a).norm();
+    const double shrink = std::min(0.15, (gap - kMinNarrowedGap) / 2.0);
+    if (shrink < 0.05) continue;
+    const Vec2 dir = (door.b - door.a).normalized();
+    mutated.world.add_segment(door.a, door.a + dir * shrink);
+    mutated.world.add_segment(door.b - dir * shrink, door.b);
+    ++out.doors_narrowed;
+    ++applied;
   }
 
   // 4. Scatter people/cart-sized static clutter into free space, clear of
@@ -703,18 +716,15 @@ EvaluationEnvironment mutate_world(const EvaluationEnvironment& env,
       const std::size_t region_idx =
           rng.uniform_index(mutated.maze_regions.size());
       const Aabb& region = mutated.maze_regions[region_idx];
-      const double bw = rng.uniform(config.clutter_min_m, config.clutter_max_m);
-      const double bh = rng.uniform(config.clutter_min_m, config.clutter_max_m);
+      const double bw = rng.uniform(kAddedClutterMin, kAddedClutterMax);
+      const double bh = rng.uniform(kAddedClutterMin, kAddedClutterMax);
       if (region.width() < bw + 0.6 || region.height() < bh + 0.6) continue;
       const double x0 =
           rng.uniform(region.min.x + 0.2, region.max.x - 0.2 - bw);
       const double y0 =
           rng.uniform(region.min.y + 0.2, region.max.y - 0.2 - bh);
       const Aabb box{{x0, y0}, {x0 + bw, y0 + bh}};
-      if (!box_placement_clear(mutated, routes, box, 0.2,
-                               config.route_clearance_m)) {
-        continue;
-      }
+      if (!box_placement_clear(mutated, routes, box, 0.2)) continue;
       mutated.world.add_rectangle(box);
       mutated.solid_regions.push_back(box);
       ++out.clutter_added;
@@ -743,7 +753,7 @@ EvaluationEnvironment mutate_world(const EvaluationEnvironment& env,
 
 GeneratedWorld generate_world(GeneratedWorldKind kind,
                               const WorldGenConfig& config) {
-  validate(config);
+  TOFMCL_EXPECTS(config.tour_laps >= 1, "a tour needs at least one lap");
   GeneratedWorld world;
   world.kind = kind;
   world.config = config;
@@ -757,18 +767,17 @@ GeneratedWorld generate_world(GeneratedWorldKind kind,
 
   switch (kind) {
     case GeneratedWorldKind::kOffice:
-      build_office(config, rng, world.env, world.points_of_interest);
+      build_office(rng, world.env, world.points_of_interest);
       break;
     case GeneratedWorldKind::kWarehouse:
-      build_warehouse(config, rng, world.env, world.points_of_interest);
+      build_warehouse(rng, world.env, world.points_of_interest);
       break;
     case GeneratedWorldKind::kLoopCorridor:
-      build_loop(config, rng, world.env, world.points_of_interest);
+      build_loop(rng, world.env, world.points_of_interest);
       break;
   }
-  world.env.maze_regions.push_back(
-      {{0.0, 0.0}, {config.width_m, config.height_m}});
-  world.env.structured_area_m2 = config.width_m * config.height_m;
+  world.env.maze_regions.push_back({{0.0, 0.0}, {kWidth, kHeight}});
+  world.env.structured_area_m2 = kWidth * kHeight;
   world.plans = make_plans(world, world.points_of_interest);
   return world;
 }

@@ -41,34 +41,11 @@ enum class GeneratedWorldKind : std::uint8_t {
 };
 const char* to_string(GeneratedWorldKind kind);
 
-/// All generator knobs. Defaults produce a 9 m × 6 m building — rooms and
-/// aisles sized so walls stay inside the ToF ranging distance (4 m) and
-/// mostly inside the EDT truncation radius (1.5 m), like the paper's
-/// corridors.
+/// The generator knobs a caller sets. The building's dimensions (a
+/// 9 m × 6 m exterior, doorways, corridors, rooms, clutter) are constants
+/// in worldgen.cpp.
 struct WorldGenConfig {
   std::uint64_t seed = 1;
-  double width_m = 9.0;   ///< Exterior width.
-  double height_m = 6.0;  ///< Exterior height.
-  /// Doorway gap width; must comfortably pass the drone (Crazyflie
-  /// diameter ≈ 0.1 m plus control margin).
-  double doorway_m = 0.7;
-  double drone_diameter_m = 0.1;
-
-  // --- office ---
-  double corridor_m = 1.4;  ///< Central corridor width.
-  double min_room_m = 1.8;  ///< Minimum room width along the corridor.
-  double max_room_m = 3.2;  ///< Target maximum room width.
-
-  // --- warehouse ---
-  std::size_t clutter_count = 12;   ///< Shelving/pallet boxes to attempt.
-  double clutter_min_m = 0.35;      ///< Box edge range.
-  double clutter_max_m = 0.9;
-  double aisle_m = 0.8;             ///< Guaranteed gap between boxes/walls.
-
-  // --- loop corridor ---
-  double loop_corridor_m = 1.2;  ///< Ring width around the solid core.
-  std::size_t loop_pillars = 5;  ///< Symmetry-breaking wall pillars.
-
   /// Patrol length of the primary tour plan (plan 0): laps > 1 turns it
   /// into an out-and-back patrol that retraces the tour route — forward,
   /// back, forward, … — so missions can outlast the single-tour duration
@@ -92,9 +69,9 @@ struct GeneratedWorld {
 
 /// Generates a world. Deterministic: equal (kind, config) produce
 /// bit-identical worlds, whatever process or thread runs the generator.
-/// Throws PreconditionError when the config is unbuildable (e.g. rooms
-/// that cannot fit) — never returns a world whose points of interest are
-/// not mutually reachable.
+/// Throws PreconditionError for zero tour laps or a draw that leaves a
+/// landmark unreachable — never returns a world whose points of interest
+/// are not mutually reachable.
 GeneratedWorld generate_world(GeneratedWorldKind kind,
                               const WorldGenConfig& config = {});
 
@@ -108,26 +85,13 @@ GeneratedWorld generate_world(GeneratedWorldKind kind,
 // campaigns fly and sense the mutated world while the localizer keeps the
 // pristine map.
 
-/// How aggressively mutate_world rearranges a world. kNone applies no
-/// operator and returns the input environment bit-identically.
+/// How aggressively mutate_world rearranges a world: kLight is "someone
+/// tidied up over the weekend", kHeavy is "the floor got rearranged since
+/// the map was recorded" (operator counts are constants in worldgen.cpp).
+/// kNone applies no operator and returns the input environment
+/// bit-identically.
 enum class MutationLevel : std::uint8_t { kNone, kLight, kHeavy };
 const char* to_string(MutationLevel level);
-
-/// Operator intensities. Counts left at 0 take the level's preset
-/// (kLight: a few changes; kHeavy: a rearranged building); kNone forces
-/// every count to 0 whatever is set.
-struct MutationConfig {
-  MutationLevel level = MutationLevel::kLight;
-  /// Clearance every added or moved wall keeps to the flight routes, so
-  /// the recorded tours stay flyable through the mutated world (m).
-  double route_clearance_m = 0.4;
-  std::size_t clutter_add = 0;    ///< People/cart-sized static boxes dropped.
-  std::size_t boxes_moved = 0;    ///< Solid boxes (shelving, bays) relocated.
-  std::size_t boxes_removed = 0;  ///< Solid boxes deleted (bays widen).
-  std::size_t doors_closed = 0;   ///< Doorway gaps walled off or narrowed.
-  double clutter_min_m = 0.3;     ///< Added-box edge range.
-  double clutter_max_m = 0.6;
-};
 
 /// What a mutate_world call actually applied (operators are rejection
 /// sampled, so intensities are ceilings, not guarantees).
@@ -146,15 +110,15 @@ struct MutationSummary {
 ///   * solid-box interiors stay Unknown (added clutter joins
 ///     `solid_regions`; removed boxes leave cleanly — outline segments and
 ///     region entry go together);
-///   * every route in `plans` remains flyable (mutations keep
-///     `route_clearance_m` from the polylines; door narrowing keeps the
-///     gap above the drone's corridor minimum).
-/// Throws PreconditionError if a mutated world fails the A* re-validation
-/// (cannot happen for clearances ≥ the planner's traversability floor).
+///   * every route in `plans` remains flyable (mutations keep a 0.4 m
+///     clearance from the polylines; door narrowing keeps the gap above
+///     the drone's corridor minimum).
+/// Throws PreconditionError when `env` has no structured region to mutate
+/// in, or if a mutated world fails the A* re-validation (cannot happen for
+/// clearances ≥ the planner's traversability floor).
 EvaluationEnvironment mutate_world(const EvaluationEnvironment& env,
                                    const std::vector<FlightPlan>& plans,
-                                   const MutationConfig& config,
-                                   std::uint64_t seed,
+                                   MutationLevel level, std::uint64_t seed,
                                    MutationSummary* summary = nullptr);
 
 }  // namespace tofmcl::sim

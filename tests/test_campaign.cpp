@@ -422,7 +422,7 @@ TEST(SweepAdapter, MatchesLegacyReplayBitwise) {
   // Legacy path, verbatim.
   const sim::EvaluationEnvironment env = sim::evaluation_environment();
   const map::OccupancyGrid grid =
-      sim::rasterize_environment(env, 0.05, cfg.map_error_sigma);
+      sim::rasterize_environment(env, 0.05, 0.01);
   const auto plans = sim::standard_flight_plans();
   Rng seed_rng(cfg.master_seed);
   const std::uint64_t seed = seed_rng.next();

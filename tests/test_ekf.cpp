@@ -76,7 +76,7 @@ TEST(FlowSensor, DropoutRate) {
 }
 
 TEST(Ekf, InitialState) {
-  const Ekf ekf(EkfConfig{}, Pose2{1.0, 2.0, 0.5});
+  const Ekf ekf(Pose2{1.0, 2.0, 0.5});
   EXPECT_DOUBLE_EQ(ekf.pose().x(), 1.0);
   EXPECT_DOUBLE_EQ(ekf.pose().y(), 2.0);
   EXPECT_DOUBLE_EQ(ekf.pose().yaw, 0.5);

@@ -123,10 +123,8 @@ TEST(MapIo, MutatedWorldRoundTripsThroughV2) {
   config.seed = 6;
   const sim::GeneratedWorld world =
       sim::generate_world(sim::GeneratedWorldKind::kWarehouse, config);
-  sim::MutationConfig mutation;
-  mutation.level = sim::MutationLevel::kHeavy;
-  const sim::EvaluationEnvironment stale =
-      sim::mutate_world(world.env, world.plans, mutation, 3);
+  const sim::EvaluationEnvironment stale = sim::mutate_world(
+      world.env, world.plans, sim::MutationLevel::kHeavy, 3);
   const OccupancyGrid grid = sim::rasterize_environment(stale, 0.05, 0.01);
 
   std::stringstream v2;

@@ -1,5 +1,5 @@
 // Tests for the stale-map mutation operators (sim::mutate_world):
-// determinism (same (env, config, seed) → byte-identical mutated world,
+// determinism (same (env, level, seed) → byte-identical mutated world,
 // pinned to a committed digest of the hexfloat mutation_trace() dump),
 // the solid-interior invariant (mutated boxes stay Unknown inside, like
 // every generated solid region), tour flyability through the mutated
@@ -61,14 +61,12 @@ TEST(MapMutation, DeterministicAcrossCalls) {
   for (const GeneratedWorldKind kind : kKinds) {
     const GeneratedWorld world = base_world(kind, 5);
     for (const MutationLevel level : kLevels) {
-      MutationConfig config;
-      config.level = level;
       MutationSummary sa;
       MutationSummary sb;
       const EvaluationEnvironment a =
-          mutate_world(world.env, world.plans, config, 42, &sa);
+          mutate_world(world.env, world.plans, level, 42, &sa);
       const EvaluationEnvironment b =
-          mutate_world(world.env, world.plans, config, 42, &sb);
+          mutate_world(world.env, world.plans, level, 42, &sb);
       expect_identical_envs(a, b);
       EXPECT_EQ(sa.clutter_added, sb.clutter_added);
       EXPECT_EQ(sa.boxes_moved, sb.boxes_moved);
@@ -82,12 +80,10 @@ TEST(MapMutation, DeterministicAcrossCalls) {
 TEST(MapMutation, DifferentSeedsDiffer) {
   const GeneratedWorld world =
       base_world(GeneratedWorldKind::kWarehouse, 2);
-  MutationConfig config;
-  config.level = MutationLevel::kHeavy;
   const EvaluationEnvironment a =
-      mutate_world(world.env, world.plans, config, 1);
+      mutate_world(world.env, world.plans, MutationLevel::kHeavy, 1);
   const EvaluationEnvironment b =
-      mutate_world(world.env, world.plans, config, 2);
+      mutate_world(world.env, world.plans, MutationLevel::kHeavy, 2);
   const map::OccupancyGrid ga = rasterize_environment(a, 0.05, 0.0, 0);
   const map::OccupancyGrid gb = rasterize_environment(b, 0.05, 0.0, 0);
   EXPECT_NE(map::to_ascii(ga), map::to_ascii(gb));
@@ -98,11 +94,9 @@ TEST(MapMutation, DifferentSeedsDiffer) {
 TEST(MapMutation, LevelNoneIsBitIdenticalToTheInput) {
   for (const GeneratedWorldKind kind : kKinds) {
     const GeneratedWorld world = base_world(kind, 7);
-    MutationConfig config;
-    config.level = MutationLevel::kNone;
     MutationSummary summary;
-    const EvaluationEnvironment same =
-        mutate_world(world.env, world.plans, config, 42, &summary);
+    const EvaluationEnvironment same = mutate_world(
+        world.env, world.plans, MutationLevel::kNone, 42, &summary);
     expect_identical_envs(world.env, same);
     EXPECT_EQ(total_ops(summary), 0u);
     const map::OccupancyGrid ga =
@@ -115,11 +109,9 @@ TEST(MapMutation, LevelNoneIsBitIdenticalToTheInput) {
 TEST(MapMutation, MutationsActuallyChangeTheWorld) {
   for (const GeneratedWorldKind kind : kKinds) {
     const GeneratedWorld world = base_world(kind, 2);
-    MutationConfig config;
-    config.level = MutationLevel::kHeavy;
     MutationSummary summary;
-    const EvaluationEnvironment mutated =
-        mutate_world(world.env, world.plans, config, 9, &summary);
+    const EvaluationEnvironment mutated = mutate_world(
+        world.env, world.plans, MutationLevel::kHeavy, 9, &summary);
     EXPECT_GE(total_ops(summary), 3u) << to_string(kind);
     const map::OccupancyGrid pristine =
         rasterize_environment(world.env, 0.05, 0.0, 0);
@@ -136,11 +128,9 @@ TEST(MapMutation, MutationsActuallyChangeTheWorld) {
 TEST(MapMutation, SolidInteriorsStayUnknown) {
   for (const GeneratedWorldKind kind : kKinds) {
     const GeneratedWorld world = base_world(kind, 3);
-    MutationConfig config;
-    config.level = MutationLevel::kHeavy;
     MutationSummary summary;
-    const EvaluationEnvironment mutated =
-        mutate_world(world.env, world.plans, config, 11, &summary);
+    const EvaluationEnvironment mutated = mutate_world(
+        world.env, world.plans, MutationLevel::kHeavy, 11, &summary);
     EXPECT_GE(total_ops(summary), 1u) << to_string(kind);
     if (kind != GeneratedWorldKind::kLoopCorridor) {
       // Open halls take scattered clutter; the 1.2 m loop ring correctly
@@ -174,10 +164,8 @@ TEST(MapMutation, ToursStayFlyableThroughMutatedWorlds) {
   for (const GeneratedWorldKind kind : kKinds) {
     for (const std::uint64_t mutation_seed : {1ull, 2ull, 3ull}) {
       const GeneratedWorld world = base_world(kind, 2);
-      MutationConfig config;
-      config.level = MutationLevel::kHeavy;
-      const EvaluationEnvironment mutated =
-          mutate_world(world.env, world.plans, config, mutation_seed);
+      const EvaluationEnvironment mutated = mutate_world(
+          world.env, world.plans, MutationLevel::kHeavy, mutation_seed);
       const map::OccupancyGrid grid =
           rasterize_environment(mutated, 0.05, 0.0, 0);
       const map::DistanceMap distance(grid, 1.0);
@@ -215,11 +203,9 @@ TEST(MapMutation, ToursStayFlyableThroughMutatedWorlds) {
 TEST(MapMutation, ComposesWithTheMazeWorlds) {
   const EvaluationEnvironment env = evaluation_environment(2023);
   const std::vector<FlightPlan> plans = standard_flight_plans();
-  MutationConfig config;
-  config.level = MutationLevel::kHeavy;
   MutationSummary summary;
   const EvaluationEnvironment mutated =
-      mutate_world(env, plans, config, 4, &summary);
+      mutate_world(env, plans, MutationLevel::kHeavy, 4, &summary);
   EXPECT_GE(total_ops(summary), 1u);
   Rng rng(6);
   const Sequence seq = generate_sequence(mutated.world, plans[0],
@@ -230,18 +216,10 @@ TEST(MapMutation, ComposesWithTheMazeWorlds) {
 
 TEST(MapMutation, RejectsUnsafeConfigs) {
   const GeneratedWorld world = base_world(GeneratedWorldKind::kOffice, 1);
-  MutationConfig config;
-  config.route_clearance_m = 0.05;  // below the flyable floor
-  EXPECT_THROW(mutate_world(world.env, world.plans, config, 1),
-               PreconditionError);
-  config = {};
-  config.clutter_min_m = 0.5;
-  config.clutter_max_m = 0.2;  // inverted
-  EXPECT_THROW(mutate_world(world.env, world.plans, config, 1),
-               PreconditionError);
   EvaluationEnvironment bare;  // no structured region to mutate in
   bare.world = world.env.world;
-  EXPECT_THROW(mutate_world(bare, world.plans, {}, 1), PreconditionError);
+  EXPECT_THROW(mutate_world(bare, world.plans, MutationLevel::kLight, 1),
+               PreconditionError);
 }
 
 /// Hexfloat dump of every mutated world (each kind at seed 12, each level,
@@ -254,11 +232,9 @@ std::string mutation_trace() {
   for (const GeneratedWorldKind kind : kKinds) {
     const GeneratedWorld world = base_world(kind, 12);
     for (const MutationLevel level : kLevels) {
-      MutationConfig config;
-      config.level = level;
       MutationSummary summary;
       const EvaluationEnvironment mutated =
-          mutate_world(world.env, world.plans, config, 77, &summary);
+          mutate_world(world.env, world.plans, level, 77, &summary);
       out << to_string(kind) << ' ' << to_string(level) << ' '
           << summary.clutter_added << ' ' << summary.boxes_moved << ' '
           << summary.boxes_removed << ' ' << summary.doors_closed << ' '

@@ -367,10 +367,8 @@ ScenarioWorld make_world(const Scenario& s) {
       break;
   }
   if (s.mutation_level != sim::MutationLevel::kNone) {
-    sim::MutationConfig config;
-    config.level = s.mutation_level;
-    world.stale_env = sim::mutate_world(world.env, world.plans, config,
-                                        s.mutation_seed);
+    world.stale_env = sim::mutate_world(world.env, world.plans,
+                                        s.mutation_level, s.mutation_seed);
   }
   return world;
 }
@@ -711,10 +709,8 @@ CrowdOutcome run_stale_battery(const Scenario& proto, std::size_t seeds,
     s.mcl_seed = first_mcl_seed + i;
     s.mutation_seed = first_mutation_seed + i;
     ScenarioWorld world{base.env, base.plans, std::nullopt};
-    sim::MutationConfig config;
-    config.level = s.mutation_level;
-    world.stale_env =
-        sim::mutate_world(base.env, base.plans, config, s.mutation_seed);
+    world.stale_env = sim::mutate_world(base.env, base.plans,
+                                        s.mutation_level, s.mutation_seed);
     const ScenarioDataset ds = make_dataset(s, world);
 
     Scenario baseline = s;  // the seed model: two-term likelihood, no gate

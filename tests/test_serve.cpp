@@ -103,7 +103,7 @@ TEST(Session, DropOldestAdmissionControlIsExact) {
   opts.config = cfg;
   opts.queue_capacity = 4;
   opts.start = StartPose{Pose2{0.5, 0.5, 0.0}, 0.1, 0.05};
-  Session session(0, "maze", ctx, opts);
+  Session session("maze", ctx, opts);
 
   const auto stream = synthetic_stream(10);
   // Capacity 4, half-full threshold 2: the first push is accepted with
@@ -133,7 +133,7 @@ TEST(Session, ProcessingDrainsAndCorrects) {
   opts.config = cfg;
   opts.queue_capacity = 64;
   opts.start = StartPose{Pose2{0.5, 0.5, 0.0}, 0.1, 0.05};
-  Session session(0, "maze", ctx, opts);
+  Session session("maze", ctx, opts);
 
   for (const auto& input : synthetic_stream(12)) {
     ASSERT_NE(session.push(input), Admission::kDroppedOldest);
@@ -474,6 +474,26 @@ TEST(SessionManager, OpenSessionRejectsConfigTheMapWasNotBuiltFor) {
   // The rejected opens consumed no session id.
   opts.config = base_config();
   EXPECT_EQ(mgr.open_session("maze", opts), 0u);
+}
+
+// The Session constructor's own checks run before an id is taken: an open
+// it rejects leaves no half-opened id behind to trip every later reader.
+TEST(SessionManager, RejectedOpenConsumesNoId) {
+  SessionManager mgr(serve_options(0));
+  mgr.define_map("maze", maze_maps());
+  SessionOptions opts;
+  opts.config = base_config();
+  opts.start = StartPose{Pose2{0.5, 0.5, 0.0}, 0.1, 0.05};
+  opts.queue_capacity = 0;
+  EXPECT_THROW(mgr.open_session("maze", opts), PreconditionError);
+  EXPECT_EQ(mgr.num_sessions(), 0u);
+
+  opts.queue_capacity = 8;
+  ASSERT_EQ(mgr.open_session("maze", opts), 0u);
+  for (const SessionInput& input : synthetic_stream(6)) mgr.push(0, input);
+  mgr.pump();
+  EXPECT_GT(mgr.session(0).corrections(), 0u);
+  EXPECT_EQ(correction_trace(mgr).rfind("0 maze ", 0), 0u);
 }
 
 TEST(SessionManager, HasMapTracksDefinitions) {

@@ -1,8 +1,7 @@
 // Tests for the procedural world generators: determinism (same seed →
 // byte-identical world, pinned to a committed digest of the hexfloat
-// worldgen_trace() dump),
-// structural invariants (landmarks mutually reachable with drone-sized
-// clearance, flyable tour plans) and config validation.
+// worldgen_trace() dump) and structural invariants (landmarks mutually
+// reachable with drone-sized clearance, flyable tour plans).
 
 #include "sim/worldgen.hpp"
 
@@ -11,7 +10,6 @@
 #include <sstream>
 #include <string>
 
-#include "common/error.hpp"
 #include "golden_digest.hpp"
 #include "map/distance_map.hpp"
 #include "map/map_io.hpp"
@@ -215,21 +213,6 @@ TEST(WorldGen, PatrolTourOutlivesThe180sCap) {
   EXPECT_EQ(loaded.odometry.back().t, seq.odometry.back().t);
   EXPECT_EQ(loaded.odometry.back().pose, seq.odometry.back().pose);
   EXPECT_EQ(loaded.ground_truth.back().pose, seq.ground_truth.back().pose);
-}
-
-TEST(WorldGen, RejectsUnbuildableConfigs) {
-  WorldGenConfig config;
-  config.doorway_m = 0.2;  // cannot pass the drone with margin
-  EXPECT_THROW(generate_world(GeneratedWorldKind::kOffice, config),
-               PreconditionError);
-  config = {};
-  config.width_m = 2.0;
-  EXPECT_THROW(generate_world(GeneratedWorldKind::kWarehouse, config),
-               PreconditionError);
-  config = {};
-  config.loop_corridor_m = 2.5;  // no solid core left in 6 m height
-  EXPECT_THROW(generate_world(GeneratedWorldKind::kLoopCorridor, config),
-               PreconditionError);
 }
 
 /// Hexfloat dump of every generated coordinate (segments, then each plan's

@@ -17,11 +17,19 @@
 //   stale_level: 0 pristine (default), 1 light, 2 heavy — seed s of the
 //     sweep mutates the world with mutation_seed0 + s, so gate thresholds
 //     marginalize over staleness draws the same way StaleMapStats does
-// A kind, plan or stale level out of range prints the usage line on
-// stderr and exits with code 2.
+// Every argument must be a whole non-negative number (z_short a decimal,
+// the others integers). An argument that is not, zero particles, or a
+// kind, plan or stale level out of range, prints the usage line on stderr
+// and exits with code 2.
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <string>
+#include <system_error>
+#include <type_traits>
 
 #include "core/localizer.hpp"
 #include "eval/campaign.hpp"
@@ -104,28 +112,46 @@ int usage_error(const char* what) {
   return 2;
 }
 
+/// Argument `i`, or `fallback` when it is absent. The whole token must
+/// parse as a non-negative (and, for a decimal, finite) T; anything else
+/// is a usage error.
+template <typename T>
+T parse_arg(int argc, char** argv, int i, T fallback) {
+  if (i >= argc) return fallback;
+  const char* text = argv[i];
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [last, error] = std::from_chars(text, end, value);
+  bool ok = error == std::errc() && last == end;
+  if constexpr (std::is_floating_point_v<T>) {
+    ok = ok && std::isfinite(value) && value >= 0.0;
+  }
+  if (!ok) {
+    const std::string what = "argument " + std::to_string(i) + " ('" + text +
+                             "') is not a non-negative number";
+    std::exit(usage_error(what.c_str()));
+  }
+  return value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int kind_i = argc > 1 ? std::atoi(argv[1]) : 1;
-  const std::uint64_t world_seed =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 2;
-  const std::size_t plan = argc > 3 ? static_cast<std::size_t>(std::atoi(argv[3])) : 0;
-  const std::size_t crossers =
-      argc > 4 ? static_cast<std::size_t>(std::atoi(argv[4])) : 5;
-  const bool pace = argc > 5 && std::atoi(argv[5]) != 0;
-  const std::size_t n_seeds =
-      argc > 6 ? static_cast<std::size_t>(std::atoi(argv[6])) : 5;
-  const std::size_t particles =
-      argc > 7 ? static_cast<std::size_t>(std::atoi(argv[7])) : 4096;
-  const double z_short = argc > 8 ? std::atof(argv[8]) : 0.5;
-  const int stale_level = argc > 9 ? std::atoi(argv[9]) : 0;
+  const std::size_t kind_i = parse_arg<std::size_t>(argc, argv, 1, 1);
+  const std::uint64_t world_seed = parse_arg<std::uint64_t>(argc, argv, 2, 2);
+  const std::size_t plan = parse_arg<std::size_t>(argc, argv, 3, 0);
+  const std::size_t crossers = parse_arg<std::size_t>(argc, argv, 4, 5);
+  const bool pace = parse_arg<std::size_t>(argc, argv, 5, 0) != 0;
+  const std::size_t n_seeds = parse_arg<std::size_t>(argc, argv, 6, 5);
+  const std::size_t particles = parse_arg<std::size_t>(argc, argv, 7, 4096);
+  const double z_short = parse_arg<double>(argc, argv, 8, 0.5);
+  const std::size_t stale_level = parse_arg<std::size_t>(argc, argv, 9, 0);
   const std::uint64_t mutation_seed0 =
-      argc > 10 ? std::strtoull(argv[10], nullptr, 10) : 500;
-  if (kind_i < 0 || kind_i > 2) return usage_error("kind must be 0, 1 or 2");
-  if (stale_level < 0 || stale_level > 2) {
-    return usage_error("stale_level must be 0, 1 or 2");
-  }
+      parse_arg<std::uint64_t>(argc, argv, 10, 500);
+  if (kind_i > 2) return usage_error("kind must be 0, 1 or 2");
+  if (particles == 0) return usage_error("particles must be at least 1");
+  if (stale_level > 2) return usage_error("stale_level must be 0, 1 or 2");
+  const auto stale = static_cast<sim::MutationLevel>(stale_level);
 
   sim::WorldGenConfig wc;
   wc.seed = world_seed;
@@ -140,7 +166,7 @@ int main(int argc, char** argv) {
               sim::to_string(kind),
               static_cast<unsigned long long>(world_seed),
               world.plans[plan].name.c_str(), crossers, pace ? 1 : 0,
-              sim::to_string(static_cast<sim::MutationLevel>(stale_level)));
+              sim::to_string(stale));
 
   for (std::size_t s = 0; s < n_seeds; ++s) {
     const std::uint64_t data_seed = 100 + s;
@@ -157,11 +183,9 @@ int main(int argc, char** argv) {
     // (the localization map) stays pristine.
     const map::World* flight_world = &world.env.world;
     sim::EvaluationEnvironment stale_env;
-    if (stale_level > 0) {
-      sim::MutationConfig mc;
-      mc.level = static_cast<sim::MutationLevel>(stale_level);
+    if (stale != sim::MutationLevel::kNone) {
       sim::MutationSummary ms;
-      stale_env = sim::mutate_world(world.env, world.plans, mc,
+      stale_env = sim::mutate_world(world.env, world.plans, stale,
                                     mutation_seed0 + s, &ms);
       flight_world = &stale_env.world;
       std::printf(
