@@ -1,12 +1,17 @@
 // Kernel-backend benchmark: observation-sweep throughput per KernelBackend
 // (scalar reference vs the AVX2 SIMD path of src/core/kernels/) and per
-// precision variant (fp32qm with fp32 weights, fp16qm with fp16 weights).
+// precision variant (fp32qm with fp32 weights, fp16qm with fp16 weights),
+// plus the motion sweep's cost per particle per backend.
 //
 // Self-contained (no Google Benchmark): each variant times repeated
 // observation_update() calls over the evaluation grid, resetting the
 // particle cloud between iterations OUTSIDE the timed region so weight
-// underflow (and denormal arithmetic) cannot skew the numbers. Iteration
-// counts auto-calibrate to a minimum timed duration.
+// underflow (and denormal arithmetic) cannot skew the numbers. The motion
+// rows time motion_update() (a gated-out tick) the same way, over 4096
+// particles and over 128 (serve_paced's filter size), both in the default
+// 8 chunks, alternating the backends call by call and reporting each one's
+// median call. Iteration counts auto-calibrate to a minimum timed
+// duration.
 //
 // The committed artifact is BENCH_kernels.json (--json), which names its
 // host: CPU model, logical CPUs, compiler and default backend. Threshold
@@ -14,7 +19,9 @@
 // regressing):
 //   * AVX2 plain-path throughput >= 2.0x scalar (when AVX2 is supported).
 //   * Every SIMD variant >= 1.0x its scalar counterpart.
+//   * Every SIMD motion row no slower than its scalar row.
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -63,7 +70,7 @@ Args parse(int argc, char** argv) {
     };
     if (is("--help") || is("-h")) {
       std::printf(
-          "bench_kernels — observation-sweep throughput per kernel backend\n"
+          "bench_kernels — observation and motion sweeps per kernel backend\n"
           "  --particles N   particles per filter (default 4096)\n"
           "  --beams N       beams per observation update (default 16)\n"
           "  --min-seconds S timed duration floor per variant (default 0.4)\n"
@@ -168,6 +175,70 @@ Entry run_variant(const Args& args, kernels::KernelBackend backend,
   return e;
 }
 
+/// One measured motion configuration.
+struct MotionEntry {
+  std::size_t particles = 0;
+  std::string backend;
+  double seconds = 0.0;
+  std::size_t iterations = 0;
+  double ns_per_particle = 0.0;  ///< Median call.
+  double speedup_vs_scalar = 1.0;
+};
+
+/// Times motion_update() over `particles` particles in the default chunks,
+/// one filter per backend, the backends' calls alternating so that a
+/// change in machine speed hits all of them alike, until every backend
+/// has `min_seconds` of timed work. Each cloud is drawn anew before every
+/// timed call (outside the timer), so every call moves a uniform cloud.
+/// One entry per backend, in `backends` order, at its median call.
+std::vector<MotionEntry> run_motion(
+    const Args& args, std::size_t particles,
+    const std::vector<kernels::KernelBackend>& backends) {
+  const auto& grid = evaluation_grid();
+  const map::QuantizedDistanceMap dmap(grid, 1.5);
+  core::MclConfig cfg;
+  cfg.num_particles = particles;
+  core::SerialExecutor exec;
+  const auto free_cells = grid.free_cell_centers();
+  const Pose2 delta{0.05, 0.01, 0.02};
+
+  std::vector<core::ParticleFilter<core::Fp32QmTraits>> filters;
+  filters.reserve(backends.size());
+  for (const auto backend : backends) {
+    filters.emplace_back(dmap, cfg, exec);
+    filters.back().set_kernel_backend(backend);
+  }
+  // The gate compares medians: a handful of calls (the first ones cold)
+  // would make it a coin toss.
+  constexpr std::size_t kMinCalls = 64;
+  std::vector<std::vector<double>> calls(backends.size());
+  std::vector<double> totals(backends.size(), 0.0);
+  while (*std::min_element(totals.begin(), totals.end()) < args.min_seconds ||
+         calls.front().size() < kMinCalls) {
+    for (std::size_t b = 0; b < backends.size(); ++b) {
+      filters[b].init_uniform(free_cells, 0.025);
+      const double t0 = now_seconds();
+      filters[b].motion_update(delta);
+      calls[b].push_back(now_seconds() - t0);
+      totals[b] += calls[b].back();
+    }
+  }
+  std::vector<MotionEntry> entries;
+  for (std::size_t b = 0; b < backends.size(); ++b) {
+    std::vector<double>& c = calls[b];
+    MotionEntry e;
+    e.particles = particles;
+    e.backend = kernels::to_string(backends[b]);
+    e.iterations = c.size();
+    e.seconds = totals[b];
+    std::nth_element(c.begin(), c.begin() + c.size() / 2, c.end());
+    e.ns_per_particle =
+        c[c.size() / 2] * 1e9 / static_cast<double>(particles);
+    entries.push_back(std::move(e));
+  }
+  return entries;
+}
+
 /// The "model name" of the first CPU in /proc/cpuinfo, or "unknown".
 std::string cpu_model() {
   std::ifstream is("/proc/cpuinfo");
@@ -199,6 +270,18 @@ void json_entry(std::ofstream& os, const Entry& e, bool last) {
      << "      \"iterations\": " << e.iterations << ",\n"
      << "      \"particles_beams_per_s\": " << e.particles_beams_per_s
      << ",\n"
+     << "      \"speedup_vs_scalar\": " << e.speedup_vs_scalar << "\n"
+     << "    }" << (last ? "\n" : ",\n");
+}
+
+void json_motion_entry(std::ofstream& os, const MotionEntry& e, bool last) {
+  os << "    {\n"
+     << "      \"particles\": " << e.particles << ",\n"
+     << "      \"chunks\": " << core::MclConfig{}.chunks << ",\n"
+     << "      \"backend\": \"" << e.backend << "\",\n"
+     << "      \"seconds\": " << e.seconds << ",\n"
+     << "      \"iterations\": " << e.iterations << ",\n"
+     << "      \"ns_per_particle\": " << e.ns_per_particle << ",\n"
      << "      \"speedup_vs_scalar\": " << e.speedup_vs_scalar << "\n"
      << "    }" << (last ? "\n" : ",\n");
 }
@@ -260,6 +343,25 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Motion: one row per backend for each filter size.
+  std::vector<MotionEntry> motion_entries;
+  bool motion_not_slower = true;
+  for (const std::size_t particles : {std::size_t{4096}, std::size_t{128}}) {
+    std::vector<MotionEntry> rows = run_motion(args, particles, backends);
+    for (MotionEntry& e : rows) {
+      e.speedup_vs_scalar = rows.front().ns_per_particle / e.ns_per_particle;
+      if (e.ns_per_particle > rows.front().ns_per_particle) {
+        motion_not_slower = false;
+        gate_failures.push_back("motion/" + std::to_string(particles) + "/" +
+                                e.backend + " slower than scalar");
+      }
+      std::printf("motion N=%-6zu  %-7s %12.1f ns/particle      (%5.2fx)\n",
+                  particles, e.backend.c_str(), e.ns_per_particle,
+                  e.speedup_vs_scalar);
+      motion_entries.push_back(std::move(e));
+    }
+  }
+
   constexpr double kAvx2MinSpeedup = 2.0;
   const bool avx2_supported =
       kernels::backend_supported(kernels::KernelBackend::kAvx2);
@@ -304,12 +406,18 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < entries.size(); ++i) {
       json_entry(js, entries[i], i + 1 == entries.size());
     }
+    js << "  ],\n  \"motion_entries\": [\n";
+    for (std::size_t i = 0; i < motion_entries.size(); ++i) {
+      json_motion_entry(js, motion_entries[i], i + 1 == motion_entries.size());
+    }
     js << "  ],\n"
        << "  \"gates\": {\n"
        << "    \"avx2_min_speedup\": " << kAvx2MinSpeedup << ",\n"
        << "    \"avx2_fp32qm_speedup\": " << avx2_plain_speedup << ",\n"
        << "    \"simd_not_slower_than_scalar\": "
        << (simd_not_slower ? "true" : "false") << ",\n"
+       << "    \"motion_simd_not_slower_than_scalar\": "
+       << (motion_not_slower ? "true" : "false") << ",\n"
        << "    \"pass\": " << (gates_pass ? "true" : "false") << "\n"
        << "  }\n"
        << "}\n";

@@ -10,12 +10,15 @@
 #include <cstdlib>
 
 #include "core/localizer.hpp"
+#include "example_args.hpp"
 #include "sim/maze.hpp"
 #include "sim/sequence_generator.hpp"
 
 using namespace tofmcl;
 
 namespace {
+
+constexpr const char* kUsage = "usage: kidnapped_drone [particles]\n";
 
 void replay(core::Localizer& localizer, const sim::Sequence& seq,
             double t_offset, const char* tag) {
@@ -49,8 +52,10 @@ double final_error(const core::Localizer& localizer,
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc > 2) examples::usage_error("too many arguments", kUsage);
   const std::size_t particles =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 8192;
+      argc > 1 ? examples::parse_number<std::size_t>(argv[1], kUsage, 1)
+               : 8192;
 
   const sim::EvaluationEnvironment env = sim::evaluation_environment();
   const map::OccupancyGrid grid = sim::rasterize_environment(env);

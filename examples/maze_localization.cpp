@@ -15,6 +15,7 @@
 
 #include "core/localizer.hpp"
 #include "eval/experiment.hpp"
+#include "example_args.hpp"
 #include "map/map_io.hpp"
 #include "sim/maze.hpp"
 #include "sim/sequence_generator.hpp"
@@ -22,6 +23,9 @@
 using namespace tofmcl;
 
 int main(int argc, char** argv) {
+  constexpr const char* kUsage =
+      "usage: maze_localization [plan 0..5] [particles] [seed] "
+      "[--csv FILE]\n";
   std::size_t plan_index = 1;  // seq02_grand_tour by default
   std::size_t particles = 4096;
   std::uint64_t seed = 2023;
@@ -30,11 +34,14 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
       csv_path = argv[++i];
     } else if (i == 1) {
-      plan_index = static_cast<std::size_t>(std::atoi(argv[i])) % 6;
+      plan_index = examples::parse_number<std::size_t>(argv[i], kUsage);
+      if (plan_index > 5) examples::usage_error("plan must be 0..5", kUsage);
     } else if (i == 2) {
-      particles = static_cast<std::size_t>(std::atoi(argv[i]));
+      particles = examples::parse_number<std::size_t>(argv[i], kUsage, 1);
     } else if (i == 3) {
-      seed = std::strtoull(argv[i], nullptr, 10);
+      seed = examples::parse_number<std::uint64_t>(argv[i], kUsage);
+    } else {
+      examples::usage_error("too many arguments", kUsage);
     }
   }
 

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "example_args.hpp"
 #include "platform/gap9_power.hpp"
 #include "platform/memory_model.hpp"
 
@@ -14,9 +15,14 @@ using namespace tofmcl;
 using namespace tofmcl::platform;
 
 int main(int argc, char** argv) {
-  const double area = argc > 1 ? std::atof(argv[1]) : 31.2;
+  constexpr const char* kUsage =
+      "usage: memory_planner [map_area_m2] [target_particles]\n";
+  if (argc > 3) examples::usage_error("too many arguments", kUsage);
+  const double area =
+      argc > 1 ? examples::parse_number<double>(argv[1], kUsage, 0.0) : 31.2;
   const std::size_t target =
-      argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 4096;
+      argc > 2 ? examples::parse_number<std::size_t>(argv[2], kUsage, 1)
+               : 4096;
 
   const Gap9Spec spec;
   const Gap9TimingModel timing = calibrated_timing_model();

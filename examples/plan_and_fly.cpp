@@ -9,6 +9,7 @@
 #include <cstdlib>
 
 #include "core/localizer.hpp"
+#include "example_args.hpp"
 #include "plan/astar.hpp"
 #include "sim/maze.hpp"
 #include "sim/sequence_generator.hpp"
@@ -16,10 +17,17 @@
 using namespace tofmcl;
 
 int main(int argc, char** argv) {
-  const Vec2 start{argc > 2 ? std::atof(argv[1]) : 0.5,
-                   argc > 2 ? std::atof(argv[2]) : 0.6};
-  const Vec2 goal{argc > 4 ? std::atof(argv[3]) : 3.5,
-                  argc > 4 ? std::atof(argv[4]) : 0.6};
+  constexpr const char* kUsage =
+      "usage: plan_and_fly [start_x start_y [goal_x goal_y]]\n";
+  if (argc != 1 && argc != 3 && argc != 5) {
+    examples::usage_error("expected 0, 2 or 4 coordinates", kUsage);
+  }
+  const auto coord = [&](int i, double fallback) {
+    return argc > i ? examples::parse_number<double>(argv[i], kUsage)
+                    : fallback;
+  };
+  const Vec2 start{coord(1, 0.5), coord(2, 0.6)};
+  const Vec2 goal{coord(3, 3.5), coord(4, 0.6)};
 
   // Map + distance field (shared by planner and localizer).
   const map::World maze = sim::drone_maze();

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "example_args.hpp"
 #include "map/map_io.hpp"
 #include "map/rasterize.hpp"
 #include "sensor/beam_model.hpp"
@@ -40,9 +41,15 @@ void print_frame(const sensor::TofFrame& frame, const char* name) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double x = argc > 1 ? std::atof(argv[1]) : 0.5;
-  const double y = argc > 2 ? std::atof(argv[2]) : 0.6;
-  const double yaw = deg_to_rad(argc > 3 ? std::atof(argv[3]) : 90.0);
+  constexpr const char* kUsage = "usage: sensor_explorer [x] [y] [yaw_deg]\n";
+  if (argc > 4) examples::usage_error("too many arguments", kUsage);
+  const auto number = [&](int i, double fallback) {
+    return argc > i ? examples::parse_number<double>(argv[i], kUsage)
+                    : fallback;
+  };
+  const double x = number(1, 0.5);
+  const double y = number(2, 0.6);
+  const double yaw = deg_to_rad(number(3, 90.0));
   const Pose2 pose{x, y, yaw};
 
   const map::World maze = sim::drone_maze();

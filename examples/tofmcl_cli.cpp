@@ -20,6 +20,7 @@
 
 #include "common/table.hpp"
 #include "eval/experiment.hpp"
+#include "example_args.hpp"
 #include "map/map_io.hpp"
 #include "sim/maze.hpp"
 #include "sim/sequence_generator.hpp"
@@ -29,6 +30,14 @@ using namespace tofmcl;
 namespace {
 
 using Options = std::map<std::string, std::string>;
+
+constexpr const char* kUsage =
+    "usage: tofmcl_cli <command> [options]\n"
+    "  map       --out FILE [--ascii]\n"
+    "  generate  --plan 0..5 --seed S --out FILE\n"
+    "  localize  --map FILE --seq FILE [--particles N]\n"
+    "            [--precision fp32|fp32qm|fp16qm] [--one-sensor]\n"
+    "            [--filter-seed S] [--csv FILE]\n";
 
 // GCC 12's -Wrestrict fires a false positive inside the inlined
 // libstdc++ std::string assignment in the flag branch below (upstream
@@ -76,16 +85,19 @@ int cmd_map(const Options& opts) {
   return 0;
 }
 
+/// Option `key` as a number (whole token, see example_args.hpp).
+template <typename T>
+T get_number(const Options& opts, const std::string& key,
+             const std::string& fallback, T min = 0) {
+  return examples::parse_number<T>(get(opts, key, fallback).c_str(), kUsage,
+                                   min);
+}
+
 int cmd_generate(const Options& opts) {
-  const auto plan_idx =
-      static_cast<std::size_t>(std::atoi(get(opts, "plan", "0").c_str()));
-  const std::uint64_t seed =
-      std::strtoull(get(opts, "seed", "1").c_str(), nullptr, 10);
+  const auto plan_idx = get_number<std::size_t>(opts, "plan", "0");
+  const auto seed = get_number<std::uint64_t>(opts, "seed", "1");
   const std::string out = get(opts, "out", "sequence.txt");
-  if (plan_idx >= 6) {
-    std::fprintf(stderr, "--plan must be 0..5\n");
-    return 2;
-  }
+  if (plan_idx >= 6) examples::usage_error("--plan must be 0..5", kUsage);
   const sim::EvaluationEnvironment env = sim::evaluation_environment();
   const auto plans = sim::standard_flight_plans();
   Rng rng(seed);
@@ -99,6 +111,10 @@ int cmd_generate(const Options& opts) {
 }
 
 int cmd_localize(const Options& opts) {
+  core::LocalizerConfig config;
+  config.mcl.num_particles =
+      get_number<std::size_t>(opts, "particles", "4096", 1);
+  config.mcl.seed = get_number<std::uint64_t>(opts, "filter-seed", "1");
   const std::string map_path = get(opts, "map", "map.txt");
   const std::string seq_path = get(opts, "seq", "sequence.txt");
   const map::OccupancyGrid grid =
@@ -106,11 +122,6 @@ int cmd_localize(const Options& opts) {
   const sim::Sequence seq =
       sim::load_sequence(std::filesystem::path(seq_path));
 
-  core::LocalizerConfig config;
-  config.mcl.num_particles = static_cast<std::size_t>(
-      std::atoi(get(opts, "particles", "4096").c_str()));
-  config.mcl.seed =
-      std::strtoull(get(opts, "filter-seed", "1").c_str(), nullptr, 10);
   const std::string precision = get(opts, "precision", "fp32qm");
   if (precision == "fp32") {
     config.precision = core::Precision::kFp32;
@@ -157,23 +168,10 @@ int cmd_localize(const Options& opts) {
   return metrics.success ? 0 : 1;
 }
 
-void usage() {
-  std::printf(
-      "usage: tofmcl_cli <command> [options]\n"
-      "  map       --out FILE [--ascii]\n"
-      "  generate  --plan 0..5 --seed S --out FILE\n"
-      "  localize  --map FILE --seq FILE [--particles N]\n"
-      "            [--precision fp32|fp32qm|fp16qm] [--one-sensor]\n"
-      "            [--filter-seed S] [--csv FILE]\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    usage();
-    return 2;
-  }
+  if (argc < 2) examples::usage_error("missing command", kUsage);
   const std::string command = argv[1];
   try {
     const Options opts = parse_options(argc, argv, 2);
@@ -184,6 +182,5 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  usage();
-  return 2;
+  examples::usage_error(("unknown command: " + command).c_str(), kUsage);
 }

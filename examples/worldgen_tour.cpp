@@ -20,11 +20,28 @@
 #include "core/localizer.hpp"
 #include "eval/campaign.hpp"
 #include "eval/metrics.hpp"
+#include "example_args.hpp"
 #include "map/map_io.hpp"
 #include "sim/dynamic_obstacles.hpp"
 #include "sim/worldgen.hpp"
 
 using namespace tofmcl;
+
+namespace {
+
+constexpr const char* kUsage =
+    "worldgen_tour — generate a world, fly it, localize\n"
+    "  --world K      office | warehouse | loop (default office)\n"
+    "  --seed N       procedural seed (default 1)\n"
+    "  --plan I       0 tour, 1 reverse, 2 shuttle (default 0)\n"
+    "  --obstacles N  crossing pedestrians (default 0)\n"
+    "  --speed V      obstacle walking speed m/s (default 1.2)\n"
+    "  --particles N  filter size (default 8192)\n"
+    "  --tracking     start from the known pose instead of global\n"
+    "  --ascii        print the generated map\n"
+    "  --save-map F   write the occupancy grid (v2 format)\n";
+
+}  // namespace
 
 int main(int argc, char** argv) {
   sim::GeneratedWorldKind kind = sim::GeneratedWorldKind::kOffice;
@@ -47,17 +64,7 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (is("--help") || is("-h")) {
-      std::printf(
-          "worldgen_tour — generate a world, fly it, localize\n"
-          "  --world K      office | warehouse | loop (default office)\n"
-          "  --seed N       procedural seed (default 1)\n"
-          "  --plan I       0 tour, 1 reverse, 2 shuttle (default 0)\n"
-          "  --obstacles N  crossing pedestrians (default 0)\n"
-          "  --speed V      obstacle walking speed m/s (default 1.2)\n"
-          "  --particles N  filter size (default 8192)\n"
-          "  --tracking     start from the known pose instead of global\n"
-          "  --ascii        print the generated map\n"
-          "  --save-map F   write the occupancy grid (v2 format)\n");
+      std::printf("%s", kUsage);
       return 0;
     } else if (is("--world")) {
       const std::string w = value();
@@ -69,15 +76,15 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (is("--seed")) {
-      seed = static_cast<std::uint64_t>(std::atoll(value()));
+      seed = examples::parse_number<std::uint64_t>(value(), kUsage);
     } else if (is("--plan")) {
-      plan_index = static_cast<std::size_t>(std::atoi(value()));
+      plan_index = examples::parse_number<std::size_t>(value(), kUsage);
     } else if (is("--obstacles")) {
-      obstacles = static_cast<std::size_t>(std::atoi(value()));
+      obstacles = examples::parse_number<std::size_t>(value(), kUsage);
     } else if (is("--speed")) {
-      obstacle_speed = std::atof(value());
+      obstacle_speed = examples::parse_number<double>(value(), kUsage, 0.0);
     } else if (is("--particles")) {
-      particles = static_cast<std::size_t>(std::atoi(value()));
+      particles = examples::parse_number<std::size_t>(value(), kUsage, 1);
     } else if (is("--tracking")) {
       tracking = true;
     } else if (is("--ascii")) {

@@ -56,16 +56,16 @@ class Rng {
 
   constexpr std::uint64_t operator()() { return next(); }
 
-  constexpr std::uint64_t next() {
-    const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
+  constexpr std::uint64_t next() { return step(state_); }
+
+  /// Fills `out` with what out.size() successive next() calls return. The
+  /// state stays in locals for the whole loop; a loop of next() calls
+  /// that stores each output through a pointer reloads it every step.
+  /// Bulk samplers (the AVX2 motion kernel) draw through this.
+  constexpr void next_n(std::span<std::uint64_t> out) {
+    std::array<std::uint64_t, 4> s = state_;
+    for (std::uint64_t& r : out) r = step(s);
+    state_ = s;
   }
 
   /// Uniform double in [0, 1) with 53 bits of randomness.
@@ -124,7 +124,8 @@ class Rng {
       out[k++] = cached_;
       has_cached_ = false;
     }
-    std::array<double, kPairBlock> u{}, v{}, s{}, log_s{};
+    // Every element read below was written first: no zero-fill.
+    std::array<double, kPairBlock> u, v, s, log_s;
     while (k < out.size()) {
       const std::size_t pairs =
           std::min(kPairBlock, (out.size() - k + 1) / 2);
@@ -178,6 +179,19 @@ class Rng {
 
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
+  }
+
+  /// One xoshiro256++ step on `s`: the engine's only definition.
+  static constexpr std::uint64_t step(std::array<std::uint64_t, 4>& s) {
+    const std::uint64_t result = rotl(s[0] + s[3], 23) + s[0];
+    const std::uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = rotl(s[3], 45);
+    return result;
   }
 
   std::array<std::uint64_t, 4> state_{};

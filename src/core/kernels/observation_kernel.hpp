@@ -13,11 +13,12 @@
 /// Contract with the caller (ParticleFilter::observation_sweep):
 ///  * observation_sweep() processes a PREFIX of [begin, end) — whole
 ///    vector blocks only — and returns how many particles it handled
-///    (0 when the backend is scalar/unavailable, or when it cannot index
-///    the map: the AVX2 gathers need 4 ≤ W·H ≤ INT32_MAX). The caller
-///    runs the scalar reference kernel over the remainder, so the tail
-///    arithmetic is the reference arithmetic by construction, never a
-///    re-coded copy.
+///    (0 when the backend is scalar or not compiled in, or when it cannot
+///    index the map: the AVX2 gathers need 4 ≤ W·H ≤ INT32_MAX). The
+///    backend must be one the CPU supports; ParticleFilter's setter
+///    resolves any other to scalar. The caller runs the scalar reference
+///    kernel over the remainder, so the tail arithmetic is the reference
+///    arithmetic by construction, never a re-coded copy.
 ///  * Only the LUT observation model is vectorized: its factor is a pure
 ///    table gather. The DirectObservationModel (float EDT + expf) stays
 ///    on the scalar path — the caller never dispatches it here.

@@ -25,18 +25,22 @@
 /// re-orderings of memory traffic: every particle still sees the exact
 /// arithmetic (and per-chunk RNG stream) of the phase-by-phase path, so
 /// results are bit-identical to it. The motion phase draws each chunk's
-/// normals 64 particles at a time (motion_sweep → Rng::gaussians), which
-/// is the same kind of re-ordering: the chunk's stream yields the values
-/// one Rng::gaussian call per draw would, in the same order.
+/// normals 64 particles at a time (kernels::motion_sweep → Rng::gaussians),
+/// which is the same kind of re-ordering: the chunk's stream yields the
+/// values one Rng::gaussian call per draw would, in the same order.
 ///
-/// The observation sweep additionally dispatches to a hand-written SIMD
-/// backend (src/core/kernels/: AVX2) for the LUT observation model. The
-/// scalar loops below remain the determinism reference — the SIMD kernel
-/// handles whole vector blocks and the scalar kernel always covers the
-/// tail, so there is exactly one definition of the reference arithmetic.
-/// Backend selection: kernels::default_backend() (compile detection +
-/// runtime probe + TOFMCL_KERNEL env override), overridable per filter
-/// with set_kernel_backend().
+/// Both sweeps dispatch to a hand-written SIMD backend (src/core/kernels/:
+/// AVX2): the motion sweep for every precision, the observation sweep for
+/// the LUT observation model (Fp32Traits observes on the scalar loop). The
+/// scalar code stays the determinism reference — the observation step
+/// below, and Rng::gaussians plus the motion step in motion_kernel.cpp.
+/// A SIMD kernel handles whole vector blocks and the scalar step always
+/// covers the tail, so there is exactly one definition of the reference
+/// arithmetic; the motion kernel also leaves each chunk's generator in the
+/// reference's state, bit for bit. Backend selection:
+/// kernels::default_backend() (compile detection + runtime probe +
+/// TOFMCL_KERNEL env override), overridable per filter with
+/// set_kernel_backend().
 ///
 /// Given a fixed chunk count, results are bit-identical on every executor;
 /// threads only change wall-clock. Per-chunk RNG streams make the whole
@@ -72,6 +76,7 @@
 #include "common/rng.hpp"
 #include "core/executor.hpp"
 #include "core/filter_state.hpp"
+#include "core/kernels/motion_kernel.hpp"
 #include "core/kernels/observation_kernel.hpp"
 #include "core/likelihood.hpp"
 #include "core/mcl_config.hpp"
@@ -186,16 +191,20 @@ class ParticleFilter {
 
   const MclConfig& config() const { return config_; }
   const Map& map() const { return *map_; }
-  /// Active SIMD backend of the observation sweep (see kernel_backend.hpp;
-  /// defaults to kernels::default_backend()). Only the LUT observation
-  /// model has SIMD kernels — Fp32Traits (direct expf model) always runs
-  /// the scalar reference regardless of this setting.
+  /// Active SIMD backend of the motion and observation sweeps (see
+  /// kernel_backend.hpp; defaults to kernels::default_backend()). Every
+  /// precision runs the motion kernel on it; only the LUT observation
+  /// model has an observation kernel — Fp32Traits (direct expf model)
+  /// observes on the scalar reference regardless of this setting.
   kernels::KernelBackend kernel_backend() const { return backend_; }
-  /// Overrides the backend (equivalence tests, benchmarks). An
-  /// unavailable backend silently runs the scalar reference — the
-  /// dispatch layer returns 0 particles handled.
+  /// Overrides the backend (equivalence tests, benchmarks). A backend this
+  /// build or CPU cannot run (kernels::backend_supported) is stored as
+  /// kScalar, so the filter silently runs the scalar reference and no
+  /// dispatch site ever sees an unsupported backend.
   void set_kernel_backend(kernels::KernelBackend backend) {
-    backend_ = backend;
+    backend_ = kernels::backend_supported(backend)
+                   ? backend
+                   : kernels::KernelBackend::kScalar;
   }
   /// The particles, one array per field (see particle_soa.hpp).
   const ParticleSoA<Scalar>& soa() const { return st_.particles; }
@@ -276,7 +285,7 @@ class ParticleFilter {
   /// motion_sweep); the values are those of one Rng::gaussian call per
   /// draw, bit for bit.
   void motion_update(const Pose2& delta) {
-    const MotionParams mp = motion_params(delta);
+    const kernels::MotionParams mp = motion_params(delta);
     executor_->for_chunks(
         st_.particles.size(), config_.chunks,
         [&](std::size_t chunk, std::size_t begin, std::size_t end) {
@@ -331,7 +340,7 @@ class ParticleFilter {
   /// observation half dispatch to the SIMD backend.
   void motion_observation_update(const Pose2& delta,
                                  std::span<const sensor::Beam> beams) {
-    const MotionParams mp = motion_params(delta);
+    const kernels::MotionParams mp = motion_params(delta);
     st_.workload.particles = st_.particles.size();
     st_.workload.beams = beams.size();
     st_.workload.gated_beams = 0;
@@ -474,12 +483,13 @@ class ParticleFilter {
     const std::size_t chunks =
         std::clamp<std::size_t>(config_.chunks, 1, n);
     struct Accum {
-      double w = 0.0, wx = 0.0, wy = 0.0, wc = 0.0, ws = 0.0, wxx = 0.0;
+      double w, wx, wy, wc, ws, wxx;
     };
-    std::vector<Accum> acc(chunks);
+    // Every chunk writes its own entry: no heap block, no zero-fill.
+    std::array<Accum, kMaxChunks> acc;
     executor_->for_chunks(
         n, chunks, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          Accum a;
+          Accum a{};
           for (std::size_t i = begin; i < end; ++i) {
             const double w = static_cast<double>(static_cast<float>(
                 st_.particles.weight[i]));
@@ -498,8 +508,8 @@ class ParticleFilter {
           }
           acc[chunk] = a;
         });
-    Accum total;
-    for (const Accum& a : acc) {
+    Accum total{};
+    for (const Accum& a : std::span(acc).first(chunks)) {
       total.w += a.w;
       total.wx += a.wx;
       total.wy += a.wy;
@@ -640,15 +650,7 @@ class ParticleFilter {
   const InjectionMonitor& injection_monitor() const { return st_.monitor; }
 
  private:
-  /// Per-update motion constants, hoisted out of the particle loop. All
-  /// kept in double: each sample mean + σ·z is formed in double, as
-  /// Rng::gaussian(mean, σ) forms it.
-  struct MotionParams {
-    double dx0, dy0, dyaw0;
-    double sxy, syaw;
-  };
-
-  MotionParams motion_params(const Pose2& delta) const {
+  kernels::MotionParams motion_params(const Pose2& delta) const {
     double noise_scale = 1.0;
     if (config_.scale_noise_with_motion) {
       const double gate_fraction =
@@ -656,50 +658,33 @@ class ParticleFilter {
           std::abs(delta.yaw) / config_.gate_dtheta;
       noise_scale = std::sqrt(std::min(gate_fraction, 4.0));
     }
-    return MotionParams{delta.x(), delta.y(), delta.yaw,
-                        config_.sigma_odom_xy * noise_scale,
-                        config_.sigma_odom_yaw * noise_scale};
+    return kernels::MotionParams{delta.x(), delta.y(), delta.yaw,
+                                 config_.sigma_odom_xy * noise_scale,
+                                 config_.sigma_odom_yaw * noise_scale};
   }
-
-  /// Particles per motion_sweep block; its 3·kMotionBlock normals sit on
-  /// the stack.
-  static constexpr std::size_t kMotionBlock = 64;
 
   /// Phase 1 over particles [begin, end) of one chunk, drawing from that
-  /// chunk's stream. Each block's normals come from one Rng::gaussians
-  /// call, in the order the per-particle draws took them (dx, dy, dyaw per
-  /// particle), and each sample is mean + stddev·z, the expression inside
-  /// Rng::gaussian(mean, stddev): the stream and every particle's
-  /// arithmetic are those of one gaussian call per draw.
-  void motion_sweep(std::size_t begin, std::size_t end, const MotionParams& mp,
-                    Rng& rng) {
-    std::array<double, 3 * kMotionBlock> z{};
-    for (std::size_t b = begin; b < end; b += kMotionBlock) {
-      const std::size_t n = std::min(kMotionBlock, end - b);
-      rng.gaussians(std::span(z).first(3 * n));
-      for (std::size_t j = 0; j < n; ++j) {
-        motion_step(b + j, mp.dx0 + mp.sxy * z[3 * j],
-                    mp.dy0 + mp.sxy * z[3 * j + 1],
-                    mp.dyaw0 + mp.syaw * z[3 * j + 2]);
-      }
-    }
+  /// chunk's stream: kernels::motion_sweep on the filter's backend (see
+  /// motion_kernel.hpp for the reference and the contract). Its normals
+  /// are those of one Rng::gaussian call per draw, in the order the
+  /// per-particle draws take them (dx, dy, dyaw per particle), and each
+  /// sample is mean + stddev·z, the expression inside
+  /// Rng::gaussian(mean, stddev).
+  void motion_sweep(std::size_t begin, std::size_t end,
+                    const kernels::MotionParams& mp, Rng& rng) {
+    kernels::motion_sweep(backend_, mp, rng, motion_spans(), begin, end);
   }
 
-  /// Motion kernel body for one particle: the sampled body-frame delta
-  /// rotated into the world frame.
-  inline void motion_step(std::size_t i, double dx_sample, double dy_sample,
-                          double dyaw_sample) {
-    const float dx = static_cast<float>(dx_sample);
-    const float dy = static_cast<float>(dy_sample);
-    const float dyaw = static_cast<float>(dyaw_sample);
-    const float yaw = static_cast<float>(st_.particles.yaw[i]);
-    const float c = std::cos(yaw);
-    const float s = std::sin(yaw);
-    st_.particles.x[i] =
-        Scalar(static_cast<float>(st_.particles.x[i]) + c * dx - s * dy);
-    st_.particles.y[i] =
-        Scalar(static_cast<float>(st_.particles.y[i]) + s * dx + c * dy);
-    st_.particles.yaw[i] = Scalar(wrap_pi_f(yaw + dyaw));
+  auto motion_spans() {
+    if constexpr (std::is_same_v<Scalar, Half>) {
+      return kernels::MotionSpansF16{st_.particles.x.data(),
+                                     st_.particles.y.data(),
+                                     st_.particles.yaw.data()};
+    } else {
+      return kernels::MotionSpansF32{st_.particles.x.data(),
+                                     st_.particles.y.data(),
+                                     st_.particles.yaw.data()};
+    }
   }
 
   /// Fills the sweep-beam array: every beam the novelty gate keeps, in
@@ -1016,10 +1001,6 @@ class ParticleFilter {
     if (constant) std::fill(values.begin() + 1, values.end(), values.front());
   }
 
-  static float wrap_pi_f(float angle) {
-    return static_cast<float>(wrap_pi(static_cast<double>(angle)));
-  }
-
   static void store(ParticleSoA<Scalar>& soa, std::size_t i, double x,
                     double y, double yaw, double w) {
     soa.x[i] = Scalar(static_cast<float>(x));
@@ -1038,7 +1019,7 @@ class ParticleFilter {
   /// Whether the last resample() ran the systematic draw rather than the
   /// degenerate-weight reset — precondition of adapt_particle_count().
   bool last_resample_drew_ = false;
-  /// SIMD backend of the observation sweep (kernel_backend.hpp).
+  /// SIMD backend of the motion and observation sweeps (kernel_backend.hpp).
   kernels::KernelBackend backend_ = kernels::default_backend();
   /// View of the map's free-cell table (owned by MapResources).
   std::span<const Vec2> support_;

@@ -1,9 +1,11 @@
-// Backend-equivalence suite for the SIMD observation kernels
+// Backend-equivalence suite for the SIMD motion and observation kernels
 // (src/core/kernels/): every supported SIMD backend must reproduce the
 // scalar determinism reference bit for bit — identical weights (the build
 // contracts no FMAs, and F16C matches the software Half exactly),
 // positions and yaws across full motion/observation/resample
-// trajectories. One test calls the kernel directly on a hand-built map
+// trajectories, and identical generator states. One test calls the motion
+// sweep directly over every chunk length up to 200 with edge-case yaws and
+// spare states; another calls the observation kernel on a hand-built map
 // whose code array borders inaccessible pages, pinning the bounds of the
 // AVX2 code gather.
 //
@@ -20,10 +22,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "core/kernels/motion_kernel.hpp"
 #include "core/kernels/observation_kernel.hpp"
 #include "core/particle_filter.hpp"
 #include "map/rasterize.hpp"
@@ -360,10 +364,10 @@ TEST(Kernels, Fp16QmTraitsMatchScalar) {
   }
 }
 
-// The Direct (float-EDT) observation model has no SIMD path by design —
-// requesting a SIMD backend on Fp32Traits must be a harmless no-op that
-// stays bit-identical to the scalar backend.
-TEST(Kernels, DirectModelIgnoresBackendRequest) {
+// The Direct (float-EDT) observation model has no SIMD path by design:
+// on Fp32Traits a SIMD backend runs the motion kernel and the scalar
+// observation step, and must stay bit-identical to the scalar backend.
+TEST(Kernels, DirectModelMatchesScalar) {
   const auto grid = test_grid();
   const map::DistanceMap dm(grid, 1.5);
   SerialExecutor exec;
@@ -379,16 +383,242 @@ TEST(Kernels, DirectModelIgnoresBackendRequest) {
   for (int round = 0; round < 3; ++round) {
     scalar_pf.motion_observation_update(Pose2{0.05, 0.01, 0.02}, beams);
     simd_pf.motion_observation_update(Pose2{0.05, 0.01, 0.02}, beams);
-    const auto& a = scalar_pf.soa();
-    const auto& b = simd_pf.soa();
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(static_cast<float>(a.weight[i]),
-                static_cast<float>(b.weight[i]))
-          << i;
-    }
+    expect_state_matches(scalar_pf, simd_pf, "direct model round");
     scalar_pf.resample();
     simd_pf.resample();
+  }
+}
+
+// set_kernel_backend keeps a backend only when this build and CPU can run
+// it; anything else resolves to the scalar reference at once, so no
+// dispatch site ever sees an unsupported backend.
+TEST(Kernels, SetKernelBackendResolvesUnsupportedToScalar) {
+  const auto grid = test_grid();
+  const map::QuantizedDistanceMap qm(grid, 1.5);
+  const map::DistanceMap dm(grid, 1.5);
+  SerialExecutor exec;
+  const auto check = [](auto& pf) {
+    EXPECT_EQ(pf.kernel_backend(), kernels::default_backend());
+    for (const auto requested :
+         {kernels::KernelBackend::kScalar, kernels::KernelBackend::kAvx2,
+          static_cast<kernels::KernelBackend>(7),
+          kernels::KernelBackend::kAvx2, kernels::KernelBackend::kScalar}) {
+      pf.set_kernel_backend(requested);
+      EXPECT_EQ(pf.kernel_backend(), kernels::backend_supported(requested)
+                                         ? requested
+                                         : kernels::KernelBackend::kScalar)
+          << "requested " << kernels::to_string(requested);
+    }
+  };
+  ParticleFilter<Fp32QmTraits> fp32qm(qm, small_config(64), exec);
+  check(fp32qm);
+  ParticleFilter<Fp16QmTraits> fp16qm(qm, small_config(64), exec);
+  check(fp16qm);
+  ParticleFilter<Fp32Traits> fp32(dm, small_config(64), exec);
+  check(fp32);
+}
+
+/// Bit pattern of a particle field value.
+std::uint32_t bits_of(float v) { return std::bit_cast<std::uint32_t>(v); }
+std::uint32_t bits_of(Half v) { return v.bits(); }
+
+/// Asserts that two generators are in the same state: the xoshiro words,
+/// the spare flag and the spare value, stale or not.
+::testing::AssertionResult same_rng(const Rng& a, const Rng& b) {
+  const Rng::Snapshot sa = a.snapshot();
+  const Rng::Snapshot sb = b.snapshot();
+  if (sa.state != sb.state) {
+    return ::testing::AssertionFailure() << "xoshiro words differ";
+  }
+  if (std::bit_cast<std::uint64_t>(sa.cached) !=
+      std::bit_cast<std::uint64_t>(sb.cached)) {
+    return ::testing::AssertionFailure()
+           << "spare value " << sa.cached << " vs " << sb.cached;
+  }
+  if (sa.has_cached != sb.has_cached) {
+    return ::testing::AssertionFailure() << "spare flag differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Asserts that two particle arrays hold the same bits.
+template <typename T>
+::testing::AssertionResult same_bits(const std::vector<T>& a,
+                                     const std::vector<T>& b,
+                                     const char* field) {
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (bits_of(a[i]) != bits_of(b[i])) {
+      return ::testing::AssertionFailure()
+             << field << "[" << i << "]: " << static_cast<float>(a[i])
+             << " vs " << static_cast<float>(b[i]);
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Yaws on both sides of the (−π, π] edges (as floats, and the binary16
+/// neighbours of π), non-finite and huge values, and ordinary ones.
+std::vector<float> edge_yaws() {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float pi_out = static_cast<float>(kPi);  // rounds up: just past π
+  const float pi_in = std::nextafter(pi_out, 0.0f);
+  EXPECT_GT(static_cast<double>(pi_out), kPi);
+  EXPECT_LE(static_cast<double>(pi_in), kPi);
+  const float half_pi_out = 3.142578125f;  // least binary16 above π
+  return {0.0f,     pi_in,     pi_out,       -pi_in,
+          -pi_out,  kInf,      -kInf,        std::nanf(""),
+          1e30f,    -1e30f,    half_pi_out,  -half_pi_out,
+          3.0f,     -3.1f,     0.5f,         -1.25f};
+}
+
+/// One motion sweep over chunk [kBegin, kBegin + length) on the scalar
+/// reference and on `backend`, from identical particles and generators.
+/// Both must leave every particle bit and the whole generator state equal,
+/// and the particles outside the chunk untouched. `*after` receives the
+/// generator the reference left, so sweeps can be chained.
+template <typename T>
+void expect_motion_sweep_matches(kernels::KernelBackend backend,
+                                 const kernels::MotionParams& mp,
+                                 const Rng& rng, std::size_t length,
+                                 Rng* after) {
+  constexpr std::size_t kBegin = 3;
+  using Spans = std::conditional_t<std::is_same_v<T, Half>,
+                                   kernels::MotionSpansF16,
+                                   kernels::MotionSpansF32>;
+  const std::vector<float> yaws = edge_yaws();
+  std::vector<T> x(length + 2 * kBegin);
+  std::vector<T> y(x.size());
+  std::vector<T> yaw(x.size());
+  Rng fill(length + 1);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = T(static_cast<float>(fill.uniform(-5.0, 5.0)));
+    y[i] = T(static_cast<float>(fill.uniform(-5.0, 5.0)));
+    yaw[i] = T(i % 3 == 0 ? static_cast<float>(fill.uniform(-kPi, kPi))
+                          : yaws[(i / 3) % yaws.size()]);
+  }
+  const std::vector<T> x0 = x;
+  const std::vector<T> y0 = y;
+  const std::vector<T> yaw0 = yaw;
+  std::vector<T> sx = x;
+  std::vector<T> sy = y;
+  std::vector<T> syaw = yaw;
+
+  Rng scalar_rng = rng;
+  Rng simd_rng = rng;
+  kernels::motion_sweep(kernels::KernelBackend::kScalar, mp, scalar_rng,
+                        Spans{sx.data(), sy.data(), syaw.data()}, kBegin,
+                        kBegin + length);
+  kernels::motion_sweep(backend, mp, simd_rng,
+                        Spans{x.data(), y.data(), yaw.data()}, kBegin,
+                        kBegin + length);
+  EXPECT_TRUE(same_bits(sx, x, "x"));
+  EXPECT_TRUE(same_bits(sy, y, "y"));
+  EXPECT_TRUE(same_bits(syaw, yaw, "yaw"));
+  EXPECT_TRUE(same_rng(scalar_rng, simd_rng));
+  for (const std::size_t i : {std::size_t{0}, kBegin - 1, kBegin + length,
+                              x.size() - 1}) {
+    EXPECT_EQ(bits_of(x[i]), bits_of(x0[i])) << "x outside the chunk " << i;
+    EXPECT_EQ(bits_of(y[i]), bits_of(y0[i])) << "y outside the chunk " << i;
+    EXPECT_EQ(bits_of(yaw[i]), bits_of(yaw0[i]))
+        << "yaw outside the chunk " << i;
+  }
+  *after = scalar_rng;
+}
+
+// The motion kernel against the scalar reference, called directly: every
+// chunk length 0–200 (tails, 64-particle noise-block boundaries and
+// serve_paced's 16-particle chunks), odd and even normal counts, a
+// generator entering with no spare, a pending spare or a stale spare
+// value, yaws at and just past ±π, ±inf, NaN and ±1e30, and a zero, an
+// ordinary, a large and an overflowing noise scale. After every call the
+// x/y/yaw bits and the whole Rng::Snapshot must match.
+TEST(Kernels, MotionSweepMatchesScalar) {
+  const auto backends = simd_backends();
+  if (backends.empty()) GTEST_SKIP() << "no SIMD backend on this host";
+  const kernels::MotionParams noise[] = {
+      {0.05, -0.01, 0.0, 0.0, 0.0},      // the yaw sum is the yaw itself
+      {0.05, 0.01, 0.02, 0.02, 0.05},    // an ordinary gated tick
+      {0.3, -0.2, 0.1, 1e3, 1e3},        // most yaws leave (−π, π]
+      {0.0, 0.0, 0.0, 1e39, 1e39},       // samples overflow float
+  };
+  for (const auto backend : backends) {
+    for (std::size_t k = 0; k < std::size(noise); ++k) {
+      for (int spare = 0; spare < 3; ++spare) {
+        Rng rng(1000 + 7 * k + static_cast<std::uint64_t>(spare));
+        // 0: no spare; 1: a pending spare; 2: a consumed (stale) one.
+        for (int i = 0; i < spare; ++i) rng.gaussian();
+        for (std::size_t length = 0; length <= 200; ++length) {
+          SCOPED_TRACE(::testing::Message()
+                       << kernels::to_string(backend) << " noise " << k
+                       << " spare " << spare << " length " << length);
+          Rng after = rng;
+          expect_motion_sweep_matches<float>(backend, noise[k], rng, length,
+                                             &after);
+          expect_motion_sweep_matches<Half>(backend, noise[k], rng, length,
+                                            &after);
+          if (HasFailure()) return;
+          // The next length starts where this sweep left the generator:
+          // spares pending or stale in every combination.
+          rng = after;
+        }
+      }
+    }
+  }
+}
+
+/// Flies the same ticks on a scalar filter and on a `backend` filter:
+/// mostly gated-out ticks (motion only) and every third one a correction
+/// (fused motion + observation, resample, pose). After every tick the two
+/// save_state blobs must be byte-identical.
+template <typename Traits>
+void expect_gated_flight_matches(kernels::KernelBackend backend,
+                                 const typename Traits::Map& map) {
+  SerialExecutor exec;
+  MclConfig cfg = small_config(300);  // 8 chunks of 37–38: blocks + tails
+  cfg.z_short = 0.4;
+  ParticleFilter<Traits> scalar_pf(map, cfg, exec);
+  ParticleFilter<Traits> simd_pf(map, cfg, exec);
+  scalar_pf.set_kernel_backend(kernels::KernelBackend::kScalar);
+  simd_pf.set_kernel_backend(backend);
+  scalar_pf.init_gaussian({1.0, 1.0, 3.0}, 0.2, 0.4);
+  simd_pf.init_gaussian({1.0, 1.0, 3.0}, 0.2, 0.4);
+  const std::vector<Beam> beams{beam_at(0.0, 1.0), beam_at(1.2, 0.8),
+                                beam_at(kPi, 0.9)};
+  for (int tick = 0; tick < 40; ++tick) {
+    const Pose2 delta{0.01 + 0.002 * (tick % 4), 0.003 * (tick % 3),
+                      0.04 * (tick % 5) - 0.06};
+    for (auto* pf : {&scalar_pf, &simd_pf}) {
+      if (tick % 3 == 2) {
+        pf->motion_observation_update(delta, beams);
+        pf->resample();
+        pf->compute_pose();
+      } else {
+        pf->motion_update(delta);
+      }
+    }
+    map::SnapshotWriter a;
+    map::SnapshotWriter b;
+    scalar_pf.save_state(a);
+    simd_pf.save_state(b);
+    ASSERT_EQ(a.bytes(), b.bytes()) << "tick " << tick;
+  }
+}
+
+// A gated flight through ParticleFilter: motion_update on gated-out ticks
+// and the fused pass on corrections must leave byte-identical filter state
+// (particles, every chunk's generator, estimate) on the scalar and the
+// SIMD backend, for all three precisions.
+TEST(Kernels, GatedFlightStateMatchesScalar) {
+  const auto backends = simd_backends();
+  if (backends.empty()) GTEST_SKIP() << "no SIMD backend on this host";
+  const auto grid = test_grid();
+  const map::DistanceMap dm(grid, 1.5);
+  const map::QuantizedDistanceMap qm(grid, 1.5);
+  for (const auto backend : backends) {
+    SCOPED_TRACE(kernels::to_string(backend));
+    expect_gated_flight_matches<Fp32Traits>(backend, dm);
+    expect_gated_flight_matches<Fp32QmTraits>(backend, qm);
+    expect_gated_flight_matches<Fp16QmTraits>(backend, qm);
   }
 }
 

@@ -122,6 +122,19 @@ TEST(Rng, GaussiansMatchSequentialDraws) {
   }
 }
 
+TEST(Rng, NextNMatchesSequentialNext) {
+  for (const std::size_t n : {0u, 1u, 7u, 192u}) {
+    Rng bulk(33);
+    Rng single(33);
+    std::vector<std::uint64_t> out(n);
+    bulk.next_n(out);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(out[i], single.next()) << "n=" << n << " output " << i;
+    }
+    EXPECT_EQ(bulk.snapshot().state, single.snapshot().state) << "n=" << n;
+  }
+}
+
 TEST(Rng, UniformIndexCoversRangeUniformly) {
   Rng rng(9);
   std::vector<int> counts(10, 0);
