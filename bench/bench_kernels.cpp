@@ -22,6 +22,7 @@
 //   * Every SIMD motion row no slower than its scalar row.
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -29,6 +30,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -51,6 +53,35 @@ struct Args {
   const char* json_path = nullptr;
 };
 
+void print_usage(std::FILE* out) {
+  std::fprintf(
+      out,
+      "bench_kernels — observation and motion sweeps per kernel backend\n"
+      "  --particles N   particles per filter (default 4096)\n"
+      "  --beams N       beams per observation update (default 16)\n"
+      "  --min-seconds S timed duration floor per variant (default 0.4)\n"
+      "  --smoke         fast CI mode (fewer particles, shorter floor)\n"
+      "  --json FILE     write the report as JSON (BENCH_kernels.json)\n"
+      "  --help          this message\n");
+}
+
+/// The --min-seconds value as one whole token: a finite number > 0. Any
+/// other text prints usage on stderr and exits 2.
+double parse_min_seconds(const char* text) {
+  double seconds = 0.0;
+  const char* end = text + std::strlen(text);
+  const auto [last, error] = std::from_chars(text, end, seconds);
+  if (error != std::errc() || last != end || !std::isfinite(seconds) ||
+      !(seconds > 0.0)) {
+    std::fprintf(stderr,
+                 "--min-seconds expects a finite number > 0, got '%s'\n",
+                 text);
+    print_usage(stderr);
+    std::exit(2);
+  }
+  return seconds;
+}
+
 Args parse(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
@@ -69,21 +100,14 @@ Args parse(int argc, char** argv) {
       return bench::parse_count(flag, value());
     };
     if (is("--help") || is("-h")) {
-      std::printf(
-          "bench_kernels — observation and motion sweeps per kernel backend\n"
-          "  --particles N   particles per filter (default 4096)\n"
-          "  --beams N       beams per observation update (default 16)\n"
-          "  --min-seconds S timed duration floor per variant (default 0.4)\n"
-          "  --smoke         fast CI mode (fewer particles, shorter floor)\n"
-          "  --json FILE     write the report as JSON (BENCH_kernels.json)\n"
-          "  --help          this message\n");
+      print_usage(stdout);
       std::exit(0);
     } else if (is("--particles")) {
       args.particles = count();
     } else if (is("--beams")) {
       args.beams = count();
     } else if (is("--min-seconds")) {
-      args.min_seconds = std::atof(value());
+      args.min_seconds = parse_min_seconds(value());
     } else if (is("--smoke")) {
       args.smoke = true;
       args.particles = 1024;

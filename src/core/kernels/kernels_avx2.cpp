@@ -61,6 +61,16 @@
 #include "core/kernels/motion_kernel.hpp"
 #include "core/kernels/observation_kernel.hpp"
 
+// The file is compiled at the baseline ISA, and only the kernel namespace
+// below targets AVX2 + F16C. Every header is included above the pragma, so
+// the inline functions the kernels share with scalar code (libm wrappers,
+// Rng, <algorithm>) keep their baseline encoding even where this file
+// emits an out-of-line copy, as an unoptimized build does; the linker
+// keeps one copy of each for the whole program. The ctest entry
+// kernels_isa_clean checks the -O0 object.
+#pragma GCC push_options
+#pragma GCC target("avx2,f16c")
+
 namespace tofmcl::core::kernels {
 
 namespace {
@@ -552,5 +562,7 @@ std::size_t motion_block_avx2(const MotionParams& mp, Rng& rng,
 }
 
 }  // namespace tofmcl::core::kernels
+
+#pragma GCC pop_options
 
 #endif  // defined(TOFMCL_KERNELS_AVX2)

@@ -66,6 +66,7 @@ Localizer::Localizer(std::shared_ptr<const ScoringContext> ctx,
 
 void Localizer::start_global() {
   SerialGuard::Scope serial(serial_guard_);
+  apply_queued_motion();
   const MapResources& maps = ctx_->maps();
   std::visit(
       [&](auto& pf) { pf.init_uniform(maps.free_cells, maps.cell_jitter); },
@@ -78,6 +79,7 @@ void Localizer::start_global() {
 void Localizer::start_at(const Pose2& pose, double sigma_xy,
                          double sigma_yaw) {
   SerialGuard::Scope serial(serial_guard_);
+  apply_queued_motion();
   const MapResources& maps = ctx_->maps();
   std::visit(
       [&](auto& pf) {
@@ -110,6 +112,15 @@ bool Localizer::gate_passed(const Pose2& delta) const {
          std::abs(delta.yaw) >= config_.mcl.gate_dtheta;
 }
 
+void Localizer::apply_queued_motion() {
+  std::visit(
+      [&](auto& pf) {
+        pf.motion_update(std::span(queued_motion_).first(queued_count_));
+      },
+      filter_);
+  queued_count_ = 0;
+}
+
 const sensor::TofSensorConfig* Localizer::frame_sensor(
     const sensor::TofFrame& frame) const {
   const auto it = std::find_if(
@@ -128,14 +139,13 @@ const sensor::TofSensorConfig* Localizer::frame_sensor(
 
 bool Localizer::on_frames(std::span<const sensor::TofFrame> frames) {
   SerialGuard::Scope serial(serial_guard_);
-  if (!current_odom_ || !last_motion_odom_) return false;
   const auto t0 = std::chrono::steady_clock::now();
 
   // Malformed frames are dropped, not fatal: an unconfigured sensor id,
   // a mode differing from the configured sensor, or a zone payload that
   // does not match the advertised mode. The rest of the batch (and the
   // flight loop) continues. They are counted whether or not the
-  // correction runs.
+  // correction runs, and before any odometry has arrived.
   std::size_t usable = 0;
   for (const sensor::TofFrame& frame : frames) {
     if (frame_sensor(frame) != nullptr) {
@@ -144,23 +154,26 @@ bool Localizer::on_frames(std::span<const sensor::TofFrame> frames) {
       ++dropped_frames_;
     }
   }
+  if (!current_odom_ || !last_motion_odom_) return false;
 
-  // Motion phase on every tick: sample the proposal with the odometry
-  // accrued since the last motion update. The σ_odom noise injected here
-  // at the frame rate is what maintains particle diversity.
+  // Motion phase on every tick: the proposal takes the odometry accrued
+  // since the last motion update. The σ_odom noise injected at the frame
+  // rate is what maintains particle diversity.
   const Pose2 motion_delta = last_motion_odom_->between(*current_odom_);
   last_motion_odom_ = current_odom_;
 
   // Correction phases only after enough motion (paper's dxy/dθ gate). The
   // gate depends on odometry alone, so it is decided before any beam is
-  // extracted: a gated-out tick runs the lone motion phase. A batch whose
-  // every frame was malformed must not consume the gate either, so the
-  // next VALID frame still gets its correction. A usable frame with zero
-  // extractable beams still steps the full filter — that is real (if
-  // uninformative) sensor data.
+  // extracted: a gated-out tick only queues its motion, which the next
+  // correction's fused pass replays. A batch whose every frame was
+  // malformed must not consume the gate either, so the next VALID frame
+  // still gets its correction. A usable frame with zero extractable beams
+  // still steps the full filter — that is real (if uninformative) sensor
+  // data.
   const bool all_malformed = !frames.empty() && usable == 0;
   if (all_malformed || !gate_passed(gate_odom_->between(*current_odom_))) {
-    std::visit([&](auto& pf) { pf.motion_update(motion_delta); }, filter_);
+    if (queued_count_ == kMotionQueueCapacity) apply_queued_motion();
+    queued_motion_[queued_count_++] = motion_delta;
     return false;
   }
 
@@ -172,16 +185,17 @@ bool Localizer::on_frames(std::span<const sensor::TofFrame> frames) {
       beams.insert(beams.end(), frame_beams.begin(), frame_beams.end());
     }
   }
-  // The fused motion+observation pass: one sweep over the particle state.
+  // The queued motion, this tick's motion and the observation in one
+  // fused pass over the particle state, then the draw and the pose.
   std::visit(
       [&](auto& pf) {
-        pf.motion_observation_update(motion_delta, beams);
-        pf.resample();
-        pf.compute_pose();
+        pf.update(std::span(queued_motion_).first(queued_count_),
+                  motion_delta, beams);
         // KLD adaptation of the active count; no-op in fixed-count mode.
         pf.adapt_particle_count();
       },
       filter_);
+  queued_count_ = 0;
   gate_odom_ = current_odom_;
   ++updates_run_;
   record_correction_time(t0);
@@ -259,7 +273,9 @@ constexpr std::uint16_t kSnapshotVersion = 1;
 
 }  // namespace
 
-void Localizer::save_snapshot(map::SnapshotWriter& writer) const {
+void Localizer::save_snapshot(map::SnapshotWriter& writer) {
+  SerialGuard::Scope serial(serial_guard_);
+  apply_queued_motion();
   writer.u32(kSnapshotMagic);
   writer.u16(kSnapshotVersion);
   writer.u8(static_cast<std::uint8_t>(config_.precision));
@@ -326,6 +342,7 @@ void Localizer::load_snapshot(map::SnapshotReader& reader) {
   current_odom_.reset();
   last_motion_odom_.reset();
   gate_odom_.reset();
+  queued_count_ = 0;
   if (flags & 1u) current_odom_ = read_pose();
   if (flags & 2u) last_motion_odom_ = read_pose();
   if (flags & 4u) gate_odom_ = read_pose();

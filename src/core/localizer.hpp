@@ -34,6 +34,7 @@
 /// or the injection-monitor state, and the guard's acquire/release pair
 /// makes the serialized cross-thread pattern data-race-free.
 
+#include <array>
 #include <chrono>
 #include <memory>
 #include <optional>
@@ -53,6 +54,10 @@ namespace tofmcl::core {
 
 class Localizer {
  public:
+  /// How many gated-out calls' odometry deltas on_frames queues; a call
+  /// that finds the queue full applies it first (see on_frames).
+  static constexpr std::size_t kMotionQueueCapacity = 16;
+
   /// Builds a private context for `config` from the occupancy grid (see
   /// build_scoring_context). The grid itself is not retained.
   Localizer(const map::OccupancyGrid& grid, const LocalizerConfig& config,
@@ -78,20 +83,32 @@ class Localizer {
   void on_odometry(const Pose2& odometry_pose);
 
   /// Feed all ToF frames captured at one measurement instant. The motion
-  /// model is sampled on every call (the paper's asynchronous scheme:
-  /// "the motion model is sampled when odometry is available"), while the
-  /// observation + resampling + pose phases run only once the drone has
-  /// moved dxy or rotated dθ since the last correction. Returns true when
-  /// the correction ran. The gate depends on odometry alone and is decided
-  /// first: frames are turned into beams only when the correction runs,
-  /// so a gated-out call costs the motion phase and the frame checks.
+  /// model takes the odometry of every call (the paper's asynchronous
+  /// scheme: "the motion model is sampled when odometry is available"),
+  /// while the observation + resampling + pose phases run only once the
+  /// drone has moved dxy or rotated dθ since the last correction. Returns
+  /// true when the correction ran. The gate depends on odometry alone and
+  /// is decided first: frames are turned into beams only when the
+  /// correction runs.
+  ///
+  /// A gated-out call does not touch the particles: it appends its
+  /// odometry delta to a fixed queue of kMotionQueueCapacity, so it costs
+  /// the frame checks and no executor call. The next correction replays
+  /// the queue inside its fused pass, chunk by chunk from each chunk's own
+  /// stream, so particles, generators and traces are bit-identical to
+  /// sampling the motion on every call. A correction makes three executor
+  /// calls (ParticleFilter::update). The queue is also applied, in one
+  /// executor call, by a gated-out call that finds it full, by
+  /// start_global / start_at (their init draws follow the queued draws)
+  /// and by save_snapshot; load_snapshot discards it.
   ///
   /// Malformed frames — an unconfigured sensor_id, a zone-mode mismatch
   /// with the configured sensor, or a zone count inconsistent with the
   /// mode — are skipped and counted in dropped_frames() on every call,
-  /// corrected or not, instead of aborting the flight loop: one corrupt
-  /// radio packet must not ground the drone. A batch of only malformed
-  /// frames samples motion but leaves the gate armed.
+  /// corrected or not and with or without odometry, instead of aborting
+  /// the flight loop: one corrupt radio packet must not ground the drone.
+  /// A batch of only malformed frames queues its motion but leaves the
+  /// gate armed.
   bool on_frames(std::span<const sensor::TofFrame> frames);
 
   const PoseEstimate& estimate() const;
@@ -141,8 +158,10 @@ class Localizer {
   /// counters, and the filter's FilterState — as a versioned little-endian
   /// binary blob (raw IEEE bits, so restore resumes bit-identically).
   /// Shared state (maps, LUT, config) is NOT serialized: a snapshot is
-  /// restored into a Localizer built from the same configuration.
-  void save_snapshot(map::SnapshotWriter& writer) const;
+  /// restored into a Localizer built from the same configuration. Queued
+  /// motion is applied first (one executor call), so the blob holds no
+  /// queue and is the one per-tick motion would have left.
+  void save_snapshot(map::SnapshotWriter& writer);
   /// Bytes save_snapshot() writes, at most (to size a blob up front).
   std::size_t snapshot_bytes() const;
   /// Restores what save_snapshot wrote. Throws common::IoError on a bad
@@ -164,6 +183,9 @@ class Localizer {
                                    const MclConfig& mcl, Executor& executor);
 
   bool gate_passed(const Pose2& delta) const;
+  /// Applies the queued motion in one executor call (none when the queue
+  /// is empty) and empties the queue.
+  void apply_queued_motion();
   /// The configured sensor a frame belongs to, or nullptr when the frame
   /// is malformed (unknown sensor id, mode mismatch, or a zone count that
   /// does not match its mode).
@@ -180,8 +202,13 @@ class Localizer {
   FilterVariant filter_;
 
   std::optional<Pose2> current_odom_;
-  std::optional<Pose2> last_motion_odom_;  ///< Odometry at last motion update.
+  /// Odometry at the last tick whose motion was applied or queued.
+  std::optional<Pose2> last_motion_odom_;
   std::optional<Pose2> gate_odom_;         ///< Odometry at last correction.
+  /// Odometry deltas of the gated-out calls since the last correction,
+  /// oldest first; the first queued_count_ entries are live.
+  std::array<Pose2, kMotionQueueCapacity> queued_motion_{};
+  std::size_t queued_count_ = 0;
   std::size_t updates_run_ = 0;
   std::size_t dropped_frames_ = 0;
   double last_correction_s_ = 0.0;

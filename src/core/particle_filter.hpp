@@ -29,6 +29,18 @@
 /// which is the same kind of re-ordering: the chunk's stream yields the
 /// values one Rng::gaussian call per draw would, in the same order.
 ///
+/// A correction is three executor calls (update()): the fused pass, the
+/// resampling draw and the pose. The fused pass first replays any queued
+/// odometry deltas — the Localizer queues the motion of gated-out ticks
+/// instead of sweeping the particles per tick — then samples the
+/// correction's own delta, observes, and leaves each chunk's weight sum
+/// for the draw. Every chunk still runs the same motion sweeps in the same
+/// order from its own stream, so the result is bit-identical to one
+/// motion_update per tick followed by motion_observation_update, resample
+/// and compute_pose. The pose sums call cos/sin once per run of particles
+/// with equal yaw bits (resampled copies sit next to each other), which
+/// is again the same arithmetic (pose_sums).
+///
 /// Both sweeps dispatch to a hand-written SIMD backend (src/core/kernels/:
 /// AVX2): the motion sweep for every precision, the observation sweep for
 /// the LUT observation model (Fp32Traits observes on the scalar loop). The
@@ -113,6 +125,47 @@ struct Fp16QmTraits {
   using ObservationModel = LutObservationModel;
   static constexpr Precision kPrecision = Precision::kFp16Qm;
 };
+
+/// The weighted sums phase 4 reduces (ParticleFilter::compute_pose).
+struct PoseSums {
+  double w = 0.0, wx = 0.0, wy = 0.0, wc = 0.0, ws = 0.0, wxx = 0.0;
+};
+
+/// Phase 4's sums over particles [begin, end) of one chunk, every field
+/// widened through float. cos/sin of a yaw are computed once per run of
+/// particles whose float yaw has the same bit pattern as its predecessor's
+/// — resampling leaves each particle's copies side by side — and reused
+/// for the rest of the run. Equal input bits give equal libm results, so
+/// the sums are those of a cos/sin call per particle, bit for bit (a sum
+/// that meets a NaN stays NaN). The comparison is on bits, so +0.0 and
+/// −0.0 never share a result and a NaN yaw only reuses its own payload's.
+template <typename Scalar>
+PoseSums pose_sums(const ParticleSoA<Scalar>& p, std::size_t begin,
+                   std::size_t end) {
+  PoseSums a;
+  std::uint32_t run_bits = 0;
+  double c = 0.0;
+  double s = 0.0;
+  for (std::size_t i = begin; i < end; ++i) {
+    const double w = static_cast<double>(static_cast<float>(p.weight[i]));
+    const double x = static_cast<double>(static_cast<float>(p.x[i]));
+    const double y = static_cast<double>(static_cast<float>(p.y[i]));
+    const float yaw = static_cast<float>(p.yaw[i]);
+    const auto bits = std::bit_cast<std::uint32_t>(yaw);
+    if (i == begin || bits != run_bits) {
+      run_bits = bits;
+      c = std::cos(static_cast<double>(yaw));
+      s = std::sin(static_cast<double>(yaw));
+    }
+    a.w += w;
+    a.wx += w * x;
+    a.wy += w * y;
+    a.wc += w * c;
+    a.ws += w * s;
+    a.wxx += w * (x * x + y * y);
+  }
+  return a;
+}
 
 template <typename Traits>
 class ParticleFilter {
@@ -285,11 +338,21 @@ class ParticleFilter {
   /// motion_sweep); the values are those of one Rng::gaussian call per
   /// draw, bit for bit.
   void motion_update(const Pose2& delta) {
-    const kernels::MotionParams mp = motion_params(delta);
+    motion_update(std::span(&delta, 1));
+  }
+
+  /// Phase 1 for several deltas, oldest first, in one executor call (none
+  /// when `deltas` is empty). Each chunk sweeps its particles once per
+  /// delta from its own stream, so the result equals one
+  /// motion_update(delta) per delta, bit for bit.
+  void motion_update(std::span<const Pose2> deltas) {
+    if (deltas.empty()) return;
     executor_->for_chunks(
         st_.particles.size(), config_.chunks,
         [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          motion_sweep(begin, end, mp, st_.rngs[chunk]);
+          for (const Pose2& delta : deltas) {
+            motion_sweep(begin, end, motion_params(delta), st_.rngs[chunk]);
+          }
         });
   }
 
@@ -337,23 +400,11 @@ class ParticleFilter {
   /// Within a chunk the motion steps run before the observation sweep
   /// (also a pure traversal re-ordering: the observation reads only what
   /// motion wrote and consumes no randomness), which is what lets the
-  /// observation half dispatch to the SIMD backend.
+  /// observation half dispatch to the SIMD backend. The same pass leaves
+  /// each chunk's weight sum behind for update()'s resampling draw.
   void motion_observation_update(const Pose2& delta,
                                  std::span<const sensor::Beam> beams) {
-    const kernels::MotionParams mp = motion_params(delta);
-    st_.workload.particles = st_.particles.size();
-    st_.workload.beams = beams.size();
-    st_.workload.gated_beams = 0;
-    st_.workload.novelty_armed = false;
-    if (!beams.empty()) prepare_beams(beams);
-    executor_->for_chunks(
-        st_.particles.size(), config_.chunks,
-        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          motion_sweep(begin, end, mp, st_.rngs[chunk]);
-          // Keyed on the input, not the sweep array: an update whose every
-          // beam is gated still sweeps.
-          if (!beams.empty()) observation_sweep(begin, end);
-        });
+    fused_pass({}, delta, beams);
   }
 
   /// Phase 3 — systematic resampling on the wheel (Fig 4). Per-chunk
@@ -361,119 +412,15 @@ class ParticleFilter {
   /// arrows; the outcome is identical to a serial systematic resampler
   /// fed the same partial-sum prefix. Every weight is 1 afterwards.
   void resample() {
-    const std::size_t n = st_.particles.size();
-    const std::size_t chunks =
-        std::clamp<std::size_t>(config_.chunks, 1, n);
-    st_.monitor.last_inject_p = 0.0;
-    last_resample_drew_ = false;
-
     // Step 1 (parallel): per-chunk weight sums — these are the partial
-    // sums the paper stores during weight normalization.
+    // sums the paper stores during weight normalization. update() takes
+    // them from the fused pass instead.
     executor_->for_chunks(
-        n, chunks, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          double sum = 0.0;
-          for (std::size_t i = begin; i < end; ++i) {
-            const double w = static_cast<double>(static_cast<float>(
-                st_.particles.weight[i]));
-            sum += w;
-          }
-          st_.chunk_sums[chunk] = sum;
+        st_.particles.size(), config_.chunks,
+        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+          st_.chunk_sums[chunk] = weight_sum(begin, end);
         });
-
-    // Step 2 (serial, O(chunks)): prefix offsets and total mass.
-    double total = 0.0;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      st_.chunk_prefix[c] = total;
-      total += st_.chunk_sums[c];
-    }
-    if (!(total > 0.0) || !std::isfinite(total)) {
-      // Degenerate weights (all zero/NaN): keep the particle set, reset
-      // weights — the next observation re-weights from scratch.
-      std::fill(st_.particles.weight.begin(), st_.particles.weight.end(),
-                Scalar(1.0f));
-      return;
-    }
-
-    // Augmented-MCL likelihood monitoring: compare the short- and
-    // long-term averages of the per-particle likelihood (weights are 1
-    // after each resample, so total/n is the mean observation
-    // likelihood). The observation kernel already normalized every factor
-    // by its per-beam maximum, so total/n is directly comparable across
-    // beam counts — no pow(per_beam_max, beams) divisor, whose underflow
-    // for large beam counts used to turn w_avg into inf/NaN and silently
-    // disable (or saturate) recovery injection.
-    // Gated beams contribute nothing to the weights, so an update whose
-    // every beam was gated carries no observation information — the
-    // monitor must not mistake it for evidence (in either direction).
-    double inject_p = 0.0;
-    if (config_.enable_injection && !support_.empty() &&
-        st_.workload.beams > st_.workload.gated_beams) {
-      const double w_avg = total / static_cast<double>(n);
-      if (st_.monitor.w_slow <= 0.0) {
-        st_.monitor.w_slow = w_avg;
-        st_.monitor.w_fast = w_avg;
-      } else {
-        st_.monitor.w_slow +=
-            kInjectionAlphaSlow * (w_avg - st_.monitor.w_slow);
-        st_.monitor.w_fast +=
-            kInjectionAlphaFast * (w_avg - st_.monitor.w_fast);
-      }
-      if (st_.monitor.w_slow > 0.0) {
-        inject_p = std::clamp(1.0 - st_.monitor.w_fast / st_.monitor.w_slow,
-                              0.0, kInjectionMaxFraction);
-      }
-      st_.monitor.last_inject_p = inject_p;
-    }
-
-    // One random number spins the wheel; arrows sit at u0 + i·step.
-    const double step = total / static_cast<double>(n);
-    const double u0 = st_.resample_rng.uniform() * step;
-
-    // Arrow index ranges per chunk, derived from the prefix sums with one
-    // consistent rule so they partition [0, n) exactly.
-    const auto arrow_begin = [&](std::size_t c) -> std::size_t {
-      if (c == 0) return 0;
-      if (c >= chunks) return n;
-      const double q = (st_.chunk_prefix[c] - u0) / step;
-      const auto idx = static_cast<long long>(std::ceil(q));
-      return static_cast<std::size_t>(
-          std::clamp<long long>(idx, 0, static_cast<long long>(n)));
-    };
-
-    // Step 3 (parallel): each chunk draws the new particles whose arrows
-    // fall inside its weight span, writing into the double buffer. A
-    // recovery fraction of slots receives uniform redraws instead.
-    executor_->for_chunks(
-        n, chunks, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          Rng& rng = st_.rngs[chunk];
-          std::size_t arrow = arrow_begin(chunk);
-          const std::size_t arrow_end = arrow_begin(chunk + 1);
-          std::size_t src = begin;
-          double cum = st_.chunk_prefix[chunk] +
-                       static_cast<double>(static_cast<float>(
-                           st_.particles.weight[src]));
-          for (; arrow < arrow_end; ++arrow) {
-            const double u = u0 + static_cast<double>(arrow) * step;
-            while (u >= cum && src + 1 < end) {
-              ++src;
-              cum += static_cast<double>(static_cast<float>(
-                  st_.particles.weight[src]));
-            }
-            if (inject_p > 0.0 && rng.bernoulli(inject_p)) {
-              const Vec2 center =
-                  support_[rng.uniform_index(support_.size())];
-              store(st_.back_buffer, arrow,
-                    center.x + rng.uniform(-support_jitter_, support_jitter_),
-                    center.y + rng.uniform(-support_jitter_, support_jitter_),
-                    rng.uniform(-kPi, kPi), 1.0);
-            } else {
-              st_.back_buffer.copy_from(st_.particles, arrow, src);
-              st_.back_buffer.weight[arrow] = Scalar(1.0f);
-            }
-          }
-        });
-    st_.particles.swap(st_.back_buffer);
-    last_resample_drew_ = true;
+    draw();
   }
 
   /// Phase 4 — pose computation: weighted average over all particles
@@ -482,34 +429,14 @@ class ParticleFilter {
     const std::size_t n = st_.particles.size();
     const std::size_t chunks =
         std::clamp<std::size_t>(config_.chunks, 1, n);
-    struct Accum {
-      double w, wx, wy, wc, ws, wxx;
-    };
     // Every chunk writes its own entry: no heap block, no zero-fill.
-    std::array<Accum, kMaxChunks> acc;
+    std::array<PoseSums, kMaxChunks> acc;
     executor_->for_chunks(
         n, chunks, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          Accum a{};
-          for (std::size_t i = begin; i < end; ++i) {
-            const double w = static_cast<double>(static_cast<float>(
-                st_.particles.weight[i]));
-            const double x = static_cast<double>(static_cast<float>(
-                st_.particles.x[i]));
-            const double y = static_cast<double>(static_cast<float>(
-                st_.particles.y[i]));
-            const double yaw =
-                static_cast<double>(static_cast<float>(st_.particles.yaw[i]));
-            a.w += w;
-            a.wx += w * x;
-            a.wy += w * y;
-            a.wc += w * std::cos(yaw);
-            a.ws += w * std::sin(yaw);
-            a.wxx += w * (x * x + y * y);
-          }
-          acc[chunk] = a;
+          acc[chunk] = pose_sums(st_.particles, begin, end);
         });
-    Accum total{};
-    for (const Accum& a : std::span(acc).first(chunks)) {
+    PoseSums total;
+    for (const PoseSums& a : std::span(acc).first(chunks)) {
       total.w += a.w;
       total.wx += a.wx;
       total.wy += a.wy;
@@ -539,11 +466,22 @@ class ParticleFilter {
     return est;
   }
 
-  /// One full update cycle in the paper's order (phases 1+2 fused).
-  PoseEstimate update(const Pose2& delta, std::span<const sensor::Beam> beams) {
-    motion_observation_update(delta, beams);
-    resample();
+  /// One full update cycle in the paper's order, in three executor calls:
+  /// the fused pass (the `queued` deltas, oldest first, then `delta`, the
+  /// observation and each chunk's weight sum), the resampling draw and the
+  /// pose. Bit-identical to motion_update(d) for each queued d, then
+  /// motion_observation_update(delta, beams), resample() and
+  /// compute_pose().
+  PoseEstimate update(std::span<const Pose2> queued, const Pose2& delta,
+                      std::span<const sensor::Beam> beams) {
+    fused_pass(queued, delta, beams);
+    draw();
     return compute_pose();
+  }
+
+  /// update() with nothing queued.
+  PoseEstimate update(const Pose2& delta, std::span<const sensor::Beam> beams) {
+    return update({}, delta, beams);
   }
 
   /// KLD-sampling adaptation (MclConfig::adaptive_particles): after a
@@ -650,6 +588,148 @@ class ParticleFilter {
   const InjectionMonitor& injection_monitor() const { return st_.monitor; }
 
  private:
+  /// Phases 1+2 (and resampling's step 1) in one executor call: each chunk
+  /// sweeps the `queued` deltas and then `delta` from its own stream,
+  /// observes `beams` (the per-beam state is prepared first, from inputs
+  /// the motion does not touch), and leaves its weight sum in chunk_sums
+  /// for draw().
+  void fused_pass(std::span<const Pose2> queued, const Pose2& delta,
+                  std::span<const sensor::Beam> beams) {
+    const kernels::MotionParams mp = motion_params(delta);
+    st_.workload.particles = st_.particles.size();
+    st_.workload.beams = beams.size();
+    st_.workload.gated_beams = 0;
+    st_.workload.novelty_armed = false;
+    if (!beams.empty()) prepare_beams(beams);
+    executor_->for_chunks(
+        st_.particles.size(), config_.chunks,
+        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+          Rng& rng = st_.rngs[chunk];
+          for (const Pose2& q : queued) {
+            motion_sweep(begin, end, motion_params(q), rng);
+          }
+          motion_sweep(begin, end, mp, rng);
+          // Keyed on the input, not the sweep array: an update whose every
+          // beam is gated still sweeps.
+          if (!beams.empty()) observation_sweep(begin, end);
+          st_.chunk_sums[chunk] = weight_sum(begin, end);
+        });
+  }
+
+  /// Resampling step 1 for one chunk: its weight sum, each weight widened
+  /// through float exactly as the draw below walks it.
+  double weight_sum(std::size_t begin, std::size_t end) const {
+    double sum = 0.0;
+    for (std::size_t i = begin; i < end; ++i) {
+      sum += static_cast<double>(static_cast<float>(st_.particles.weight[i]));
+    }
+    return sum;
+  }
+
+  /// Resampling steps 2 and 3 on the chunk sums step 1 left in chunk_sums.
+  void draw() {
+    const std::size_t n = st_.particles.size();
+    const std::size_t chunks =
+        std::clamp<std::size_t>(config_.chunks, 1, n);
+    st_.monitor.last_inject_p = 0.0;
+    last_resample_drew_ = false;
+
+    // Step 2 (serial, O(chunks)): prefix offsets and total mass.
+    double total = 0.0;
+    for (std::size_t c = 0; c < chunks; ++c) {
+      st_.chunk_prefix[c] = total;
+      total += st_.chunk_sums[c];
+    }
+    if (!(total > 0.0) || !std::isfinite(total)) {
+      // Degenerate weights (all zero/NaN): keep the particle set, reset
+      // weights — the next observation re-weights from scratch.
+      std::fill(st_.particles.weight.begin(), st_.particles.weight.end(),
+                Scalar(1.0f));
+      return;
+    }
+
+    // Augmented-MCL likelihood monitoring: compare the short- and
+    // long-term averages of the per-particle likelihood (weights are 1
+    // after each resample, so total/n is the mean observation
+    // likelihood). The observation kernel already normalized every factor
+    // by its per-beam maximum, so total/n is directly comparable across
+    // beam counts — no pow(per_beam_max, beams) divisor, whose underflow
+    // for large beam counts used to turn w_avg into inf/NaN and silently
+    // disable (or saturate) recovery injection.
+    // Gated beams contribute nothing to the weights, so an update whose
+    // every beam was gated carries no observation information — the
+    // monitor must not mistake it for evidence (in either direction).
+    double inject_p = 0.0;
+    if (config_.enable_injection && !support_.empty() &&
+        st_.workload.beams > st_.workload.gated_beams) {
+      const double w_avg = total / static_cast<double>(n);
+      if (st_.monitor.w_slow <= 0.0) {
+        st_.monitor.w_slow = w_avg;
+        st_.monitor.w_fast = w_avg;
+      } else {
+        st_.monitor.w_slow +=
+            kInjectionAlphaSlow * (w_avg - st_.monitor.w_slow);
+        st_.monitor.w_fast +=
+            kInjectionAlphaFast * (w_avg - st_.monitor.w_fast);
+      }
+      if (st_.monitor.w_slow > 0.0) {
+        inject_p = std::clamp(1.0 - st_.monitor.w_fast / st_.monitor.w_slow,
+                              0.0, kInjectionMaxFraction);
+      }
+      st_.monitor.last_inject_p = inject_p;
+    }
+
+    // One random number spins the wheel; arrows sit at u0 + i·step.
+    const double step = total / static_cast<double>(n);
+    const double u0 = st_.resample_rng.uniform() * step;
+
+    // Arrow index ranges per chunk, derived from the prefix sums with one
+    // consistent rule so they partition [0, n) exactly.
+    const auto arrow_begin = [&](std::size_t c) -> std::size_t {
+      if (c == 0) return 0;
+      if (c >= chunks) return n;
+      const double q = (st_.chunk_prefix[c] - u0) / step;
+      const auto idx = static_cast<long long>(std::ceil(q));
+      return static_cast<std::size_t>(
+          std::clamp<long long>(idx, 0, static_cast<long long>(n)));
+    };
+
+    // Step 3 (parallel): each chunk draws the new particles whose arrows
+    // fall inside its weight span, writing into the double buffer. A
+    // recovery fraction of slots receives uniform redraws instead.
+    executor_->for_chunks(
+        n, chunks, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+          Rng& rng = st_.rngs[chunk];
+          std::size_t arrow = arrow_begin(chunk);
+          const std::size_t arrow_end = arrow_begin(chunk + 1);
+          std::size_t src = begin;
+          double cum = st_.chunk_prefix[chunk] +
+                       static_cast<double>(static_cast<float>(
+                           st_.particles.weight[src]));
+          for (; arrow < arrow_end; ++arrow) {
+            const double u = u0 + static_cast<double>(arrow) * step;
+            while (u >= cum && src + 1 < end) {
+              ++src;
+              cum += static_cast<double>(static_cast<float>(
+                  st_.particles.weight[src]));
+            }
+            if (inject_p > 0.0 && rng.bernoulli(inject_p)) {
+              const Vec2 center =
+                  support_[rng.uniform_index(support_.size())];
+              store(st_.back_buffer, arrow,
+                    center.x + rng.uniform(-support_jitter_, support_jitter_),
+                    center.y + rng.uniform(-support_jitter_, support_jitter_),
+                    rng.uniform(-kPi, kPi), 1.0);
+            } else {
+              st_.back_buffer.copy_from(st_.particles, arrow, src);
+              st_.back_buffer.weight[arrow] = Scalar(1.0f);
+            }
+          }
+        });
+    st_.particles.swap(st_.back_buffer);
+    last_resample_drew_ = true;
+  }
+
   kernels::MotionParams motion_params(const Pose2& delta) const {
     double noise_scale = 1.0;
     if (config_.scale_noise_with_motion) {

@@ -100,7 +100,7 @@ void Session::refresh_footprint() {
                         std::memory_order_relaxed);
 }
 
-std::vector<std::byte> Session::snapshot() const {
+std::vector<std::byte> Session::snapshot() {
   std::size_t dropped = 0;
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);

@@ -95,7 +95,8 @@ class Session {
   /// correction trace, and the Localizer snapshot (odometry anchors +
   /// FilterState) — as a versioned binary blob. Precondition: no pending
   /// inputs (snapshot between pumps, after the queue drained); asserted.
-  std::vector<std::byte> snapshot() const;
+  /// Non-const: the Localizer applies its queued motion first.
+  std::vector<std::byte> snapshot();
 
   const std::string& map_key() const { return map_key_; }
 

@@ -237,7 +237,7 @@ void SessionManager::restore_locked(Slot& slot,
 }
 
 std::vector<std::byte> SessionManager::snapshot_session(
-    std::size_t session_id) const {
+    std::size_t session_id) {
   Shard& shard = shard_of(session_id);
   std::lock_guard<std::mutex> lock(shard.mutex);
   Slot& slot = slot_locked(shard, session_id);

@@ -186,7 +186,7 @@ class SessionManager {
   /// Serializes a live session's full state (counters, latency, trace,
   /// filter) and returns the blob; the session keeps running. Call
   /// between pumps, after its queue drained.
-  std::vector<std::byte> snapshot_session(std::size_t session_id) const;
+  std::vector<std::byte> snapshot_session(std::size_t session_id);
 
   /// Replaces a session's state with `blob` (from snapshot_session or an
   /// external store), whether the session is currently live or evicted.

@@ -6,12 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <iterator>
+#include <optional>
+#include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/angles.hpp"
 #include "common/stats.hpp"
+#include "common/thread_pool.hpp"
 #include "sim/maze.hpp"
 #include "sim/sequence_generator.hpp"
 
@@ -100,9 +106,6 @@ TEST(Localizer, DropsMalformedFramesAndCountsThem) {
   SerialExecutor exec;
   Localizer loc(grid, base_config(), exec);
   loc.start_global();
-  loc.on_odometry(Pose2{0.0, 0.0, 0.0});
-  loc.on_odometry(Pose2{0.2, 0.0, 0.0});
-  EXPECT_EQ(loc.dropped_frames(), 0u);
 
   sensor::TofFrame unknown_sensor;
   unknown_sensor.sensor_id = 9;  // not configured
@@ -123,22 +126,32 @@ TEST(Localizer, DropsMalformedFramesAndCountsThem) {
   good.mode = sensor::ZoneMode::k8x8;
   good.zones.assign(64, {1.0f, sensor::ZoneStatus::kValid});
 
+  // Before any odometry nothing can run, but a malformed frame is still
+  // counted.
+  const std::array<sensor::TofFrame, 2> early{unknown_sensor, good};
+  EXPECT_FALSE(loc.on_frames(early));
+  EXPECT_EQ(loc.dropped_frames(), 1u);
+  EXPECT_EQ(loc.updates_run(), 0u);
+
+  loc.on_odometry(Pose2{0.0, 0.0, 0.0});
+  loc.on_odometry(Pose2{0.2, 0.0, 0.0});
+
   // A batch mixing malformed and valid frames: no throw, the bad ones are
   // counted, the good one still produces a correction.
   const std::array<sensor::TofFrame, 4> batch{unknown_sensor, wrong_mode,
                                               short_payload, good};
   EXPECT_TRUE(loc.on_frames(batch));
-  EXPECT_EQ(loc.dropped_frames(), 3u);
+  EXPECT_EQ(loc.dropped_frames(), 4u);
   EXPECT_EQ(loc.updates_run(), 1u);
 
   // A batch of ONLY malformed frames must not consume the correction
-  // gate: it returns false (motion still sampled), keeps counting, and
+  // gate: it returns false (its motion still queued), keeps counting, and
   // the next valid frame still gets its correction even though the drone
   // has not moved since the corrupt packet.
   loc.on_odometry(Pose2{0.4, 0.0, 0.0});
   const std::array<sensor::TofFrame, 1> bad_only{unknown_sensor};
   EXPECT_FALSE(loc.on_frames(bad_only));
-  EXPECT_EQ(loc.dropped_frames(), 4u);
+  EXPECT_EQ(loc.dropped_frames(), 5u);
   EXPECT_EQ(loc.updates_run(), 1u);
   const std::array<sensor::TofFrame, 1> good_only{good};
   EXPECT_TRUE(loc.on_frames(good_only));
@@ -149,8 +162,278 @@ TEST(Localizer, DropsMalformedFramesAndCountsThem) {
   loc.on_odometry(Pose2{0.45, 0.0, 0.0});
   const std::array<sensor::TofFrame, 2> gated_mixed{short_payload, good};
   EXPECT_FALSE(loc.on_frames(gated_mixed));
-  EXPECT_EQ(loc.dropped_frames(), 5u);
+  EXPECT_EQ(loc.dropped_frames(), 6u);
   EXPECT_EQ(loc.updates_run(), 2u);
+}
+
+/// Counts for_chunks calls, each a fork-join on a pooled executor, and
+/// runs them serially.
+class CountingExecutor final : public Executor {
+ public:
+  void for_chunks(std::size_t count, std::size_t chunks,
+                  const ChunkFn& fn) override {
+    ++calls;
+    serial_.for_chunks(count, chunks, fn);
+  }
+  const char* name() const override { return "counting"; }
+
+  std::size_t calls = 0;
+
+ private:
+  SerialExecutor serial_;
+};
+
+// A gated-out tick only queues its motion, and a correction replays the
+// queue inside its fused pass: three executor calls (fused pass, draw,
+// pose), however many ticks it replays.
+TEST(Localizer, ExecutorCallsPerTickCorrectionAndSnapshot) {
+  const auto grid = maze_grid();
+  CountingExecutor exec;
+  Localizer loc(grid, base_config(Precision::kFp32Qm, 256), exec);
+  loc.on_odometry(Pose2{1.0, 1.0, 0.0});
+  loc.start_global();
+  sensor::TofFrame frame;
+  frame.sensor_id = 0;
+  frame.mode = sensor::ZoneMode::k8x8;
+  frame.zones.assign(64, {1.0f, sensor::ZoneStatus::kValid});
+  const auto calls_of = [&](const std::function<void()>& step) {
+    const std::size_t before = exec.calls;
+    step();
+    return exec.calls - before;
+  };
+  double x = 1.0;
+  // Odometry steps of 2 mm stay inside the 0.1 m gate for 17+ ticks.
+  const auto gated_tick = [&] {
+    x += 0.002;
+    loc.on_odometry(Pose2{x, 1.0, 0.0});
+    return calls_of([&] { EXPECT_FALSE(loc.on_frames({&frame, 1})); });
+  };
+  const auto correction = [&] {
+    x += 0.15;
+    loc.on_odometry(Pose2{x, 1.0, 0.0});
+    return calls_of([&] { EXPECT_TRUE(loc.on_frames({&frame, 1})); });
+  };
+
+  EXPECT_EQ(gated_tick(), 0u);
+  EXPECT_EQ(gated_tick(), 0u);
+  EXPECT_EQ(correction(), 3u);
+  EXPECT_EQ(correction(), 3u);  // nothing queued
+
+  // The queue holds kMotionQueueCapacity ticks; the next one applies it
+  // first, in one call, and queues itself.
+  for (std::size_t i = 0; i < Localizer::kMotionQueueCapacity; ++i) {
+    EXPECT_EQ(gated_tick(), 0u) << "tick " << i;
+  }
+  EXPECT_EQ(gated_tick(), 1u);
+  EXPECT_EQ(correction(), 3u);
+
+  // A snapshot applies a non-empty queue in one call, an empty one in none.
+  EXPECT_EQ(gated_tick(), 0u);
+  map::SnapshotWriter first;
+  EXPECT_EQ(calls_of([&] { loc.save_snapshot(first); }), 1u);
+  map::SnapshotWriter second;
+  EXPECT_EQ(calls_of([&] { loc.save_snapshot(second); }), 0u);
+
+  // A start applies the queue before its own init draws.
+  EXPECT_EQ(gated_tick(), 0u);
+  EXPECT_EQ(calls_of([&] { loc.start_global(); }), 2u);
+  EXPECT_EQ(calls_of([&] { loc.start_global(); }), 1u);
+}
+
+/// A Localizer snapshot with its two wall-clock fields (the last and the
+/// total correction seconds) zeroed, so two runs of one flight compare
+/// byte for byte.
+std::vector<std::byte> snapshot_without_timings(Localizer& loc) {
+  map::SnapshotWriter w;
+  loc.save_snapshot(w);
+  std::vector<std::byte> blob = w.take();
+  // Magic, version, precision, budget, chunks, seed and the anchor flags
+  // take 32 bytes; the three anchors (all set here) and two counters
+  // precede the timings.
+  EXPECT_EQ(blob.at(31), std::byte{7});
+  std::fill_n(blob.begin() + 32 + 3 * 24 + 2 * 8, 2 * 8, std::byte{0});
+  return blob;
+}
+
+/// One generated flight through the maze, replayed tick by tick.
+struct Flight {
+  sim::EvaluationEnvironment env = [] {
+    sim::EvaluationEnvironment e;
+    e.world = sim::drone_maze();
+    e.maze_regions.push_back({{0.0, 0.0}, {4.0, 4.0}});
+    return e;
+  }();
+  map::OccupancyGrid grid = sim::rasterize_environment(env, 0.05, 0.01);
+  sim::Sequence seq = [this] {
+    Rng rng(12);
+    return sim::generate_sequence(env.world, sim::standard_flight_plans()[0],
+                                  sim::default_generator_config(), rng);
+  }();
+
+  /// Calls tick(odometry pose, frame pair) for every frame pair, in the
+  /// order a drone delivers them, until tick returns false.
+  void replay(
+      const std::function<bool(const Pose2&,
+                               std::span<const sensor::TofFrame>)>& tick)
+      const {
+    std::size_t frame_idx = 0;
+    for (const sim::StateSample& odom : seq.odometry) {
+      while (frame_idx + 1 < seq.frames.size() &&
+             seq.frames[frame_idx].timestamp_s <= odom.t) {
+        const std::array<sensor::TofFrame, 2> pair{seq.frames[frame_idx],
+                                                   seq.frames[frame_idx + 1]};
+        frame_idx += 2;
+        if (!tick(odom.pose, pair)) return;
+      }
+    }
+  }
+};
+
+// A snapshot taken while gated-out ticks are queued applies them first,
+// and a restore discards whatever the target had queued: the Localizer
+// restored from it, and the one it was taken from, both continue
+// byte-identical to a run that was never snapshotted.
+TEST(Localizer, SnapshotAfterGatedTicksResumesBitIdentically) {
+  const Flight flight;
+  const LocalizerConfig cfg = base_config(Precision::kFp16Qm, 512);
+  SerialExecutor exec;
+  Localizer uninterrupted(flight.grid, cfg, exec);
+  Localizer snapshotted(flight.grid, cfg, exec);
+  std::optional<Localizer> restored;
+  const Pose2 start_odom = flight.seq.odometry.front().pose;
+  for (Localizer* loc : {&uninterrupted, &snapshotted}) {
+    loc->on_odometry(start_odom);
+    loc->start_at(flight.seq.ground_truth.front().pose, 0.2, 0.2);
+  }
+
+  std::size_t corrections = 0;
+  std::size_t gated_since_correction = 0;
+  flight.replay([&](const Pose2& odom,
+                    std::span<const sensor::TofFrame> frames) {
+    std::vector<Localizer*> live{&uninterrupted, &snapshotted};
+    if (restored) live.push_back(&*restored);
+    std::vector<bool> ran;
+    for (Localizer* loc : live) {
+      loc->on_odometry(odom);
+      ran.push_back(loc->on_frames(frames));
+    }
+    EXPECT_TRUE(std::all_of(ran.begin(), ran.end(),
+                            [&](bool r) { return r == ran.front(); }));
+    if (ran.front()) {
+      ++corrections;
+      gated_since_correction = 0;
+      for (Localizer* loc : live) {
+        EXPECT_EQ(loc->estimate().pose, uninterrupted.estimate().pose)
+            << "correction " << corrections;
+      }
+    } else {
+      ++gated_since_correction;
+    }
+    // Snapshot once, mid-flight, with two gated ticks queued.
+    if (!restored && corrections >= 5 && gated_since_correction == 2) {
+      map::SnapshotWriter w;
+      snapshotted.save_snapshot(w);
+      const std::vector<std::byte> blob = w.take();
+      // The Localizer it is restored into has a gated tick of its own
+      // queued, which the restore must discard.
+      restored.emplace(flight.grid, cfg, exec);
+      restored->on_odometry(start_odom);
+      restored->start_global();
+      restored->on_odometry(
+          Pose2{start_odom.x() + 0.01, start_odom.y(), start_odom.yaw});
+      EXPECT_FALSE(restored->on_frames(frames));
+      map::SnapshotReader r(blob);
+      restored->load_snapshot(r);
+      EXPECT_TRUE(r.exhausted());
+    }
+    return corrections < 25;
+  });
+  ASSERT_TRUE(restored.has_value());
+  EXPECT_EQ(corrections, 25u);
+  const std::vector<std::byte> expected =
+      snapshot_without_timings(uninterrupted);
+  EXPECT_EQ(snapshot_without_timings(snapshotted), expected);
+  EXPECT_EQ(snapshot_without_timings(*restored), expected);
+}
+
+// The Localizer queues gated ticks and corrects in three pooled calls; a
+// serial ParticleFilter replays the same flight on the per-tick schedule
+// (motion_update on every gated tick, then motion_observation_update,
+// resample and compute_pose). At the onboard size, N=4096 in 8 chunks on
+// a pool of 3, their whole filter state must agree after every correction.
+TEST(Localizer, PooledLocalizerMatchesPerTickSerialFilter) {
+  const Flight flight;
+  const LocalizerConfig cfg = base_config(Precision::kFp32Qm, 4096);
+  ASSERT_EQ(cfg.mcl.chunks, 8u);
+  ThreadPool pool(3);
+  ThreadPoolExecutor pooled(pool);
+  Localizer loc(flight.grid, cfg, pooled);
+  const Pose2 start_odom = flight.seq.odometry.front().pose;
+  loc.on_odometry(start_odom);
+  loc.start_global();
+
+  const ScoringContext& ctx = *loc.context();
+  const MapResources& maps = ctx.maps();
+  SerialExecutor serial;
+  ParticleFilter<Fp32QmTraits> pf(
+      *maps.quantized_map, ctx.config().mcl, serial,
+      LutObservationModel(*maps.quantized_map, *maps.lut), ctx.arena());
+  pf.init_uniform(maps.free_cells, maps.cell_jitter);
+
+  const auto beams_of = [&](std::span<const sensor::TofFrame> frames) {
+    std::vector<sensor::Beam> beams;
+    const std::vector<sensor::TofSensorConfig>& sensors = ctx.config().sensors;
+    for (const sensor::TofFrame& frame : frames) {
+      const auto s = std::find_if(
+          sensors.begin(), sensors.end(),
+          [&](const auto& c) { return c.sensor_id == frame.sensor_id; });
+      if (s == sensors.end()) continue;
+      const auto frame_beams =
+          sensor::extract_beams(frame, *s, ctx.config().extraction);
+      beams.insert(beams.end(), frame_beams.begin(), frame_beams.end());
+    }
+    return beams;
+  };
+  Pose2 last_motion = start_odom;
+  Pose2 gate = start_odom;
+  std::size_t corrections = 0;
+  std::size_t gated = 0;
+  flight.replay([&](const Pose2& odom,
+                    std::span<const sensor::TofFrame> frames) {
+    loc.on_odometry(odom);
+    const bool corrected = loc.on_frames(frames);
+    const Pose2 delta = last_motion.between(odom);
+    last_motion = odom;
+    const Pose2 since_gate = gate.between(odom);
+    const bool passes = since_gate.position.norm() >= cfg.mcl.gate_dxy ||
+                        std::abs(since_gate.yaw) >= cfg.mcl.gate_dtheta;
+    EXPECT_EQ(corrected, passes);
+    if (!passes) {
+      pf.motion_update(delta);
+      ++gated;
+      return true;
+    }
+    pf.motion_observation_update(delta, beams_of(frames));
+    pf.resample();
+    pf.compute_pose();
+    pf.adapt_particle_count();
+    gate = odom;
+    ++corrections;
+    map::SnapshotWriter filter_state;
+    pf.save_state(filter_state);
+    map::SnapshotWriter localizer_state;
+    loc.save_snapshot(localizer_state);
+    const std::vector<std::byte>& want = filter_state.bytes();
+    const std::vector<std::byte>& got = localizer_state.bytes();
+    EXPECT_TRUE(got.size() >= want.size() &&
+                std::equal(want.begin(), want.end(),
+                           got.end() - static_cast<std::ptrdiff_t>(
+                                           want.size())))
+        << "correction " << corrections;
+    return corrections < 30;
+  });
+  EXPECT_EQ(corrections, 30u);
+  EXPECT_GT(gated, corrections);
 }
 
 // System-level test: run the full simulated pipeline and verify global

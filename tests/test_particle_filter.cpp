@@ -7,10 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -851,6 +855,150 @@ TEST(ParticleFilter, WorkloadReported) {
   pf.observation_update(beams);
   EXPECT_EQ(pf.workload().particles, 128u);
   EXPECT_EQ(pf.workload().beams, 3u);
+}
+
+template <typename Traits>
+std::vector<std::byte> state_bytes_of(const ParticleFilter<Traits>& pf) {
+  map::SnapshotWriter w;
+  pf.save_state(w);
+  return w.take();
+}
+
+/// Runs the Localizer's two schedules side by side: one filter samples
+/// every gated-out tick's motion as it comes (motion_update) and corrects
+/// with motion_observation_update + resample + compute_pose; the other
+/// queues the ticks and corrects with update(queued, delta, beams). The
+/// whole persistent state must agree after every correction.
+template <typename Traits>
+void expect_queued_update_matches_per_tick(const typename Traits::Map& m,
+                                           const MclConfig& cfg) {
+  const map::OccupancyGrid grid = test_grid();
+  const auto support = grid.free_cell_centers();
+  SerialExecutor exec;
+  ParticleFilter<Traits> per_tick(m, cfg, exec);
+  ParticleFilter<Traits> queued(m, cfg, exec);
+  per_tick.init_uniform(support, 0.025);
+  queued.init_uniform(support, 0.025);
+  const std::array<Beam, 3> beams{beam_at(0.0, 1.0), beam_at(0.5, 1.2),
+                                  beam_at(kPi, 1.7)};
+  std::vector<Pose2> queue;
+  for (std::size_t round = 0; round < 6; ++round) {
+    queue.clear();
+    for (std::size_t k = 0; k < (round * 3) % 7; ++k) {
+      const double f = static_cast<double>(k + round);
+      queue.push_back(Pose2{0.01 * f, -0.004 * f, 0.013 * f - 0.03});
+      per_tick.motion_update(queue.back());
+    }
+    const Pose2 delta{0.03, 0.01, -0.02};
+    // The last round observes nothing: the weight sums still come from
+    // the fused pass.
+    const std::span<const Beam> observed =
+        round == 5 ? std::span<const Beam>{} : std::span<const Beam>(beams);
+    per_tick.motion_observation_update(delta, observed);
+    per_tick.resample();
+    const PoseEstimate a = per_tick.compute_pose();
+    per_tick.adapt_particle_count();
+    const PoseEstimate b = queued.update(queue, delta, observed);
+    queued.adapt_particle_count();
+    EXPECT_EQ(a.valid, b.valid) << "round " << round;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.pose.yaw),
+              std::bit_cast<std::uint64_t>(b.pose.yaw))
+        << "round " << round;
+    ASSERT_EQ(state_bytes_of(per_tick), state_bytes_of(queued))
+        << "round " << round;
+  }
+  // A run of deltas in one call equals one call per delta.
+  const std::array<Pose2, 4> run{Pose2{0.02, 0.0, 0.01},
+                                 Pose2{-0.01, 0.03, 0.0},
+                                 Pose2{0.0, 0.0, -0.05},
+                                 Pose2{0.04, -0.02, 0.02}};
+  for (const Pose2& d : run) per_tick.motion_update(d);
+  queued.motion_update(run);
+  EXPECT_EQ(state_bytes_of(per_tick), state_bytes_of(queued));
+}
+
+TEST(ParticleFilter, QueuedUpdateMatchesPerTickSchedule) {
+  const auto grid = test_grid();
+  const map::DistanceMap dm(grid, 1.5);
+  const map::QuantizedDistanceMap qm(grid, 1.5);
+  // 333 particles do not split evenly over the 8 chunks.
+  expect_queued_update_matches_per_tick<Fp32Traits>(dm, small_config(333));
+  expect_queued_update_matches_per_tick<Fp32QmTraits>(qm, small_config(333));
+  expect_queued_update_matches_per_tick<Fp16QmTraits>(qm, small_config(333));
+  MclConfig adaptive = small_config(1024);
+  adaptive.adaptive_particles = true;
+  expect_queued_update_matches_per_tick<Fp32QmTraits>(qm, adaptive);
+}
+
+/// pose_sums without the memo: cos/sin of every particle's yaw.
+template <typename Scalar>
+PoseSums pose_sums_per_particle(const ParticleSoA<Scalar>& p,
+                                std::size_t begin, std::size_t end) {
+  PoseSums a;
+  for (std::size_t i = begin; i < end; ++i) {
+    const double w = static_cast<double>(static_cast<float>(p.weight[i]));
+    const double x = static_cast<double>(static_cast<float>(p.x[i]));
+    const double y = static_cast<double>(static_cast<float>(p.y[i]));
+    const double yaw = static_cast<double>(static_cast<float>(p.yaw[i]));
+    a.w += w;
+    a.wx += w * x;
+    a.wy += w * y;
+    a.wc += w * std::cos(yaw);
+    a.ws += w * std::sin(yaw);
+    a.wxx += w * (x * x + y * y);
+  }
+  return a;
+}
+
+template <typename Scalar>
+void expect_pose_sums_match(const std::vector<float>& yaws) {
+  ParticleSoA<Scalar> p;
+  p.resize(yaws.size());
+  for (std::size_t i = 0; i < yaws.size(); ++i) {
+    p.x[i] = Scalar(0.5f + 0.25f * static_cast<float>(i % 5));
+    p.y[i] = Scalar(1.0f - 0.125f * static_cast<float>(i % 3));
+    p.yaw[i] = Scalar(yaws[i]);
+    p.weight[i] = Scalar(0.25f + 0.5f * static_cast<float>(i % 4));
+  }
+  // Bits, except that every NaN reads as one: which NaN a sum of several
+  // carries depends on the operand order the compiler picks for each
+  // addition (IEEE 754 leaves it open), and compute_pose reports any
+  // non-finite sum as an invalid estimate anyway.
+  const auto bits = [](const PoseSums& s) {
+    const auto b = [](double v) {
+      return std::isnan(v) ? std::uint64_t{0x7FF8000000000000}
+                           : std::bit_cast<std::uint64_t>(v);
+    };
+    return std::array<std::uint64_t, 6>{b(s.w),  b(s.wx), b(s.wy),
+                                        b(s.wc), b(s.ws), b(s.wxx)};
+  };
+  // Every [begin, end): a chunk may start inside a run of equal yaws.
+  for (std::size_t begin = 0; begin <= yaws.size(); ++begin) {
+    for (std::size_t end = begin; end <= yaws.size(); ++end) {
+      EXPECT_EQ(bits(pose_sums(p, begin, end)),
+                bits(pose_sums_per_particle(p, begin, end)))
+          << "[" << begin << ", " << end << ")";
+    }
+  }
+}
+
+// compute_pose calls cos/sin once per run of equal yaw bits. The sums must
+// be those of a call per particle, bit for bit, wherever a chunk starts:
+// on runs of resampled copies, on +0.0 next to −0.0 (equal values,
+// different sin), and on NaN yaws, equal or not.
+TEST(ParticleFilter, PoseSumsMemoMatchesPerParticleTrig) {
+  const float nan_a = std::numeric_limits<float>::quiet_NaN();
+  const float nan_b = -nan_a;
+  const float ulp_up = std::nextafter(1.25f, 2.0f);
+  const auto pi = static_cast<float>(kPi);
+  const std::vector<float> yaws{
+      1.25f, 1.25f, 1.25f, ulp_up, ulp_up, 1.25f, 0.0f,  -0.0f, -0.0f,
+      0.0f,  0.0f,  -2.5f, -2.5f,  nan_a,  nan_a, nan_b, nan_a, 3.0f,
+      3.0f,  -0.0f, 0.0f,  pi,     pi,     -pi};
+  expect_pose_sums_match<float>(yaws);
+  // fp16 particles: 1.25 and its float neighbour round to one binary16
+  // value, so the run continues across them.
+  expect_pose_sums_match<Half>(yaws);
 }
 
 /// After an observation the weights are not one constant run, so the blob
