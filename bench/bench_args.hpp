@@ -13,8 +13,7 @@
 ///   --help            usage
 ///
 /// Count values go through parse_count(), which the parsers of
-/// bench_campaign_throughput, bench_serving_latency and bench_kernels
-/// share.
+/// bench_campaign_throughput and bench_kernels share.
 
 #include <charconv>
 #include <cstdio>

@@ -22,7 +22,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 
 #include "bench_args.hpp"
 #include "eval/campaign.hpp"
@@ -46,8 +45,6 @@ struct Args {
   /// (the drone flies the mutated hall, the localizer keeps the pristine
   /// map) crossed with the observation-model axis.
   bool stale = false;
-  /// Dump the hexfloat per-run trace that CampaignGolden.* hashes.
-  const char* trace_path = nullptr;
 };
 
 Args parse(int argc, char** argv) {
@@ -82,10 +79,7 @@ Args parse(int argc, char** argv) {
           "                 mixture + novelty gating)\n"
           "  --stale        stale-map warehouse battery: pristine vs\n"
           "                 light vs heavy map mutation x the\n"
-          "                 observation-model axis (forces >= 6 runs)\n"
-          "  --trace FILE   write a hexfloat per-run result trace (its\n"
-          "                 FNV-1a is the committed CampaignGolden\n"
-          "                 digest of a --smoke battery)\n");
+          "                 observation-model axis (forces >= 6 runs)\n");
       std::exit(0);
     } else if (is("--runs")) {
       args.runs = count();
@@ -103,8 +97,6 @@ Args parse(int argc, char** argv) {
       args.crowd = true;
     } else if (is("--stale")) {
       args.stale = true;
-    } else if (is("--trace")) {
-      args.trace_path = value();
     } else {
       std::fprintf(stderr, "unknown option: %s\n", argv[i]);
       std::exit(2);
@@ -249,18 +241,5 @@ int main(int argc, char** argv) {
               args.threads);
   std::printf("determinism: serial and batched results %s\n",
               ok ? "bit-identical" : "DIFFER (BUG)");
-  if (!ok) return 1;
-
-  if (args.trace_path != nullptr) {
-    // Hexfloat per-run trace (covers world generation, tour planning,
-    // obstacle scatter, dataset generation and the filter itself): the
-    // bytes behind a CampaignGolden digest that moved.
-    std::ofstream trace(args.trace_path);
-    if (!trace) {
-      std::fprintf(stderr, "cannot open trace file %s\n", args.trace_path);
-      return 1;
-    }
-    trace << eval::campaign_trace(serial);
-  }
-  return 0;
+  return ok ? 0 : 1;
 }

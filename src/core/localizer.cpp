@@ -139,7 +139,6 @@ const sensor::TofSensorConfig* Localizer::frame_sensor(
 
 bool Localizer::on_frames(std::span<const sensor::TofFrame> frames) {
   SerialGuard::Scope serial(serial_guard_);
-  const auto t0 = std::chrono::steady_clock::now();
 
   // Malformed frames are dropped, not fatal: an unconfigured sensor id,
   // a mode differing from the configured sensor, or a zone payload that
@@ -177,6 +176,8 @@ bool Localizer::on_frames(std::span<const sensor::TofFrame> frames) {
     return false;
   }
 
+  // Only a correction is timed, so a gated tick reads no clock.
+  const auto t0 = std::chrono::steady_clock::now();
   std::vector<sensor::Beam> beams;
   for (const sensor::TofFrame& frame : frames) {
     if (const sensor::TofSensorConfig* s = frame_sensor(frame)) {
@@ -348,8 +349,8 @@ void Localizer::load_snapshot(map::SnapshotReader& reader) {
   if (flags & 4u) gate_odom_ = read_pose();
   updates_run_ = static_cast<std::size_t>(reader.u64());
   dropped_frames_ = static_cast<std::size_t>(reader.u64());
-  last_correction_s_ = reader.f64();
-  total_correction_s_ = reader.f64();
+  last_correction_s_ = reader.duration_f64();
+  total_correction_s_ = reader.duration_f64();
   const MapResources& maps = ctx_->maps();
   std::visit(
       [&](auto& pf) {

@@ -165,8 +165,9 @@ class Localizer {
   /// Bytes save_snapshot() writes, at most (to size a blob up front).
   std::size_t snapshot_bytes() const;
   /// Restores what save_snapshot wrote. Throws common::IoError on a bad
-  /// magic/version, a truncated blob or a non-finite odometry anchor,
-  /// estimate or monitor value, PreconditionError when the snapshot was
+  /// magic/version, a truncated blob, a non-finite odometry anchor,
+  /// estimate or monitor value or a negative or non-finite correction
+  /// timing, PreconditionError when the snapshot was
   /// taken under a different precision/budget/chunks/seed than this
   /// localizer's.
   void load_snapshot(map::SnapshotReader& reader);

@@ -341,8 +341,7 @@ std::vector<RunSpec> expand_runs(const CampaignSpec& spec);
 /// Hexfloat dump of a campaign result: per run, one line of indices,
 /// seeds, work counters, ATE and final error, then one line per error
 /// sample. The same battery must dump byte-identically in any process;
-/// `bench_campaign_throughput --trace` writes it and the golden campaign
-/// digests hash it.
+/// the golden campaign digests hash it.
 std::string campaign_trace(const CampaignResult& result);
 
 /// Replays one recorded leg through an already-initialized localizer:

@@ -86,17 +86,32 @@ class SnapshotReader {
     if (!std::isfinite(v)) throw IoError("snapshot holds a non-finite value");
     return v;
   }
+  /// An f64 the format requires to be a duration in seconds: a negative
+  /// or non-finite value is an IoError.
+  double duration_f64() { return checked_duration(f64()); }
   bool boolean() { return u8() != 0; }
   /// Fills `out` with what array() wrote for that many values.
   void array(std::span<float> out) { copy(out.data(), out.size_bytes()); }
   void array(std::span<Half> out) { copy(out.data(), out.size_bytes()); }
   void array(std::span<double> out) { copy(out.data(), out.size_bytes()); }
+  /// array() of durations, refused as duration_f64() refuses one.
+  void durations(std::span<double> out) {
+    array(out);
+    for (const double v : out) checked_duration(v);
+  }
 
   /// Bytes not yet consumed.
   std::size_t remaining() const { return bytes_.size() - pos_; }
   bool exhausted() const { return pos_ == bytes_.size(); }
 
  private:
+  static double checked_duration(double v) {
+    if (!(v >= 0.0 && std::isfinite(v))) {
+      throw IoError("snapshot holds a negative or non-finite duration");
+    }
+    return v;
+  }
+
   template <typename T>
   T read() {
     T v{};

@@ -30,7 +30,9 @@ std::vector<Beam> extract_beams(const TofFrame& frame,
       if (!zone.valid()) continue;
       const double horizontal =
           static_cast<double>(zone.distance_m) * cos_elev;
-      if (horizontal < config.min_range_m || horizontal > config.max_range_m) {
+      // Negated so that a NaN distance fails the band test too.
+      if (!(horizontal >= config.min_range_m &&
+            horizontal <= config.max_range_m)) {
         continue;
       }
       Beam beam;

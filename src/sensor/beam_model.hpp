@@ -49,9 +49,10 @@ struct BeamExtractionConfig {
 std::vector<int> central_rows(ZoneMode mode);
 
 /// Extract valid 2D beams from one frame. Invalid/flagged/out-of-band
-/// zones produce no beam. When both central rows see the same column
-/// validly, both beams are emitted — they are independent measurements of
-/// the same wall and sharpen the correction slightly.
+/// zones produce no beam; a NaN distance is out of band. When both central
+/// rows see the same column validly, both beams are emitted — they are
+/// independent measurements of the same wall and sharpen the correction
+/// slightly.
 std::vector<Beam> extract_beams(const TofFrame& frame,
                                 const TofSensorConfig& sensor,
                                 const BeamExtractionConfig& config = {});

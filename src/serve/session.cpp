@@ -73,8 +73,9 @@ Session::Session(std::string map_key,
   corrections_ = reader.u64();
   processed_inputs_ = reader.u64();
   dropped_inputs_ = reader.u64();
+  // Clock differences: one NaN sample would make report()'s mean NaN.
   std::vector<double> latencies(read_count(reader, 8, "latency sample"));
-  reader.array(latencies);
+  reader.durations(latencies);
   latency_ = LatencyRecorder(std::move(latencies));
   const std::uint64_t trace_count = read_count(reader, 32, "trace record");
   trace_.reserve(trace_count);

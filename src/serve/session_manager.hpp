@@ -303,8 +303,8 @@ class SessionManager {
 /// line of id, map key, corrections and dropped inputs, then one line of
 /// t, x, y and yaw per correction. Every session must be live. The same
 /// battery must dump byte-identically in any process and under any pump
-/// schedule; `bench_serving_latency --trace` writes it and the serving
-/// smoke digest (ServeGolden.SmokeBattery) hashes it.
+/// schedule; the serving smoke digest (ServeGolden.SmokeBattery) hashes
+/// it.
 std::string correction_trace(const SessionManager& mgr);
 
 }  // namespace tofmcl::serve

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/angles.hpp"
 
@@ -113,10 +114,12 @@ TEST(ExtractBeams, RangeBandFilter) {
   TofFrame f = uniform_frame(cfg, 1.0f);
   f.zones[static_cast<std::size_t>(4 * 8 + 1)].distance_m = 0.01f;  // too near
   f.zones[static_cast<std::size_t>(4 * 8 + 2)].distance_m = 5.0f;   // too far
+  f.zones[static_cast<std::size_t>(4 * 8 + 3)].distance_m =
+      std::numeric_limits<float>::quiet_NaN();  // valid flag, no distance
   BeamExtractionConfig ext;
   ext.rows = {4};
   const auto beams = extract_beams(f, cfg, ext);
-  EXPECT_EQ(beams.size(), 6u);
+  EXPECT_EQ(beams.size(), 5u);
 }
 
 TEST(ExtractBeams, MismatchedModeThrows) {

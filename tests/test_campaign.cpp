@@ -250,9 +250,8 @@ TEST(Campaign, ObservationAxisBaselineRowsMatchNoAxisBitwise) {
 
 // Heavy-crowd campaign cell (5 crossing pedestrians, mixture + gating
 // axis): the engine's bit-exactness guarantee must hold through the new
-// observation code path for every thread count. The same battery is the
-// `bench_campaign_throughput --smoke --crowd` smoke that
-// CampaignGolden.CrowdSmoke pins.
+// observation code path for every thread count. CampaignGolden.CrowdSmoke
+// pins the trace of the same spec at 256 particles.
 TEST(Campaign, HeavyCrowdCellIsBitExactAcrossPolicies) {
   CampaignSpec spec;
   spec.worlds = {{CampaignWorld::kWarehouse, 0, 2}};
@@ -447,13 +446,11 @@ TEST(SweepAdapter, MatchesLegacyReplayBitwise) {
             legacy.convergence_time_s);
 }
 
-// Golden digests of the CI campaign smokes (see golden_digest.hpp). Each
-// spec and master seed is the battery `bench_campaign_throughput --smoke
-// --worldgen|--crowd|--stale` builds, so a digest equals the FNV-1a of
-// that bench's `--trace` file under TOFMCL_KERNEL=scalar.
+// Golden digests of the generated-world, crowd and stale campaign
+// batteries at smoke size (see golden_digest.hpp).
 
-/// The bench's stretch of `spec` to exactly `runs` runs at its smoke
-/// particle count, executed one run at a time.
+/// `spec` stretched to exactly `runs` runs at 256 particles, executed one
+/// run at a time.
 CampaignResult run_smoke(CampaignSpec spec, std::size_t runs) {
   spec.mcl.num_particles = 256;
   const std::size_t cell_runs =

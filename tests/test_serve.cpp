@@ -4,8 +4,9 @@
 // asserted single-threaded contract and correction-timing hooks, and the
 // serial-vs-pooled determinism gate (bit-identical per-session correction
 // traces whatever the pump schedule), plus committed golden digests of the
-// serial trace and of the `bench_serving_latency --smoke` battery
-// (ServeGolden, ctest entry test_serve_golden).
+// serial trace and of the serving smoke battery, 256 sessions replaying
+// small-maze campaign datasets (ServeGolden, ctest entries
+// test_serve_golden and test_serve_golden_default).
 //
 // The CI ThreadSanitizer job runs this binary: the pooled pumps below are
 // the cross-thread session-hopping pattern the SerialGuard's
@@ -276,12 +277,11 @@ TEST(ServeGolden, MazeSessions) {
   });
 }
 
-// Golden digest of the `bench_serving_latency --smoke` battery: the same
-// replay sources, session options and paced push/pump windows, so the
-// digest equals the FNV-1a of that bench's `--trace` file.
+// Golden digest of the serving smoke battery's correction_trace().
 constexpr std::uint64_t kSmokeBatteryDigest = 0x95d1793a975364ddull;
+constexpr std::size_t kSmokeSessions = 256;
 
-/// The bench's input stream for one recorded leg: one SessionInput per
+/// The input stream for one recorded leg: one SessionInput per
 /// frame-capture instant, carrying the last odometry sample at or before
 /// it, cut at `max_ticks` inputs.
 std::vector<SessionInput> replay_stream(const sim::Sequence& seq,
@@ -307,13 +307,17 @@ std::vector<SessionInput> replay_stream(const sim::Sequence& seq,
   return stream;
 }
 
-/// Serves the `bench_serving_latency --smoke` battery over `shards` slot
-/// shards in pump batches of `pump_batch` sessions and returns its
-/// correction_trace(). Sharding and batching never change a trace, so
-/// every layout hashes to the same digest.
-std::string run_smoke_battery(std::size_t shards, std::size_t pump_batch) {
+/// Serves the serving smoke battery: kSmokeSessions sessions with a budget
+/// of `particles` each (KLD-adaptive down to 128 when `adaptive`) replay
+/// two small-maze campaign datasets in paced windows of half the queue,
+/// so nothing is dropped, over `shards` slot shards in pump batches of
+/// `pump_batch` sessions. Sharding and batching never change a trace, so
+/// every layout of one budget dumps the same correction_trace().
+std::unique_ptr<SessionManager> run_smoke_battery(std::size_t shards,
+                                                  std::size_t pump_batch,
+                                                  std::size_t particles = 128,
+                                                  bool adaptive = false) {
   constexpr std::size_t kThreads = 2;
-  constexpr std::size_t kSessions = 256;
   constexpr std::size_t kTicks = 20;
   constexpr std::size_t kQueue = 8;
   eval::CampaignSpec spec;
@@ -322,7 +326,7 @@ std::string run_smoke_battery(std::size_t shards, std::size_t pump_batch) {
   spec.inits = {{eval::InitSpec::Mode::kTracking, 0.2, 0.2, 2}};
   spec.precisions = {core::Precision::kFp32Qm};
   spec.seeds_per_cell = 2;
-  spec.mcl.num_particles = 128;
+  spec.mcl.num_particles = particles;
   spec.master_seed = 31;
   eval::Campaign campaign(std::move(spec));
   eval::CampaignOptions prep;
@@ -335,86 +339,149 @@ std::string run_smoke_battery(std::size_t shards, std::size_t pump_batch) {
     streams.push_back(replay_stream(src.legs.front(), kTicks));
     ticks = std::min(ticks, streams.back().size());
   }
-  SessionManager mgr(serve_options(kThreads, shards, pump_batch));
+  auto mgr = std::make_unique<SessionManager>(
+      serve_options(kThreads, shards, pump_batch));
   for (const eval::ReplaySource& src : sources) {
-    if (!mgr.has_map(src.map_key)) mgr.define_map(src.map_key, src.maps);
+    if (!mgr->has_map(src.map_key)) mgr->define_map(src.map_key, src.maps);
   }
-  for (std::size_t id = 0; id < kSessions; ++id) {
+  for (std::size_t id = 0; id < kSmokeSessions; ++id) {
     const eval::ReplaySource& src = sources[id % sources.size()];
     SessionOptions opts;
     opts.config.precision = core::Precision::kFp32Qm;
     opts.config.mcl = campaign.spec().mcl;
     opts.config.mcl.seed =
         eval::campaign_mix(campaign.spec().master_seed, 0x5e55u + id);
+    opts.config.mcl.adaptive_particles = adaptive;
     opts.config.mcl.min_particles = 128;
     opts.config.sensors = {src.front_tof, src.rear_tof};
     opts.queue_capacity = kQueue;
     opts.start = StartPose{src.start_pose, 0.2, 0.2};
-    mgr.open_session(src.map_key, opts);
+    mgr->open_session(src.map_key, opts);
   }
   for (std::size_t base = 0; base < ticks; base += kQueue / 2) {
     const std::size_t end = std::min(ticks, base + kQueue / 2);
-    for (std::size_t id = 0; id < kSessions; ++id) {
+    for (std::size_t id = 0; id < kSmokeSessions; ++id) {
       for (std::size_t t = base; t < end; ++t) {
-        mgr.push(id, streams[id % sources.size()][t]);
+        mgr->push(id, streams[id % sources.size()][t]);
       }
     }
-    mgr.pump();
+    mgr->pump();
   }
-  return correction_trace(mgr);
+  return mgr;
 }
 
 TEST(ServeGolden, SmokeBattery) {
-  golden::expect_digest("serving smoke", kSmokeBatteryDigest,
-                        [] { return run_smoke_battery(1, 16); });
+  golden::expect_digest("serving smoke", kSmokeBatteryDigest, [] {
+    return correction_trace(*run_smoke_battery(1, 16));
+  });
 }
 
-// The same battery as `bench_serving_latency --smoke --shards 8
-// --pump-batch 4`.
+// The same battery over 8 shards in pump batches of 4.
 TEST(ServeGolden, ShardedSmokeBattery) {
-  golden::expect_digest("sharded serving smoke", kSmokeBatteryDigest,
-                        [] { return run_smoke_battery(8, 4); });
+  golden::expect_digest("sharded serving smoke", kSmokeBatteryDigest, [] {
+    return correction_trace(*run_smoke_battery(8, 4));
+  });
 }
 
-TEST(SessionManager, ReportAggregatesPerMapAndGlobally) {
-  SessionManager mgr(serve_options(2));
-  mgr.define_map("maze_a", maze_maps());
-  mgr.define_map("maze_b", maze_maps());
-  SessionOptions opts;
-  opts.config = base_config();
-  opts.queue_capacity = 32;
-  opts.start = StartPose{Pose2{0.5, 0.5, 0.0}, 0.1, 0.05};
-  const std::size_t a0 = mgr.open_session("maze_a", opts);
-  const std::size_t a1 = mgr.open_session("maze_a", opts);
-  const std::size_t b0 = mgr.open_session("maze_b", opts);
+// The smoke battery at a 1024-particle budget with KLD-adaptive counts,
+// on one shard and on four: sharding and batching leave an adaptive trace
+// unchanged too, and once the replay is over the idle-eviction sweep parks
+// every session in the store while the report keeps its statistics.
+TEST(SessionManager, AdaptiveSmokeBatteryIsShardInvariantAndEvictsWhenIdle) {
+  const auto one_shard = run_smoke_battery(1, 16, 1024, /*adaptive=*/true);
+  const auto four_shards = run_smoke_battery(4, 32, 1024, /*adaptive=*/true);
+  EXPECT_TRUE(correction_trace(*one_shard) == correction_trace(*four_shards));
 
-  const auto stream = synthetic_stream(12);
-  for (const auto& input : stream) {
-    mgr.push(a0, input);
-    mgr.push(a1, input);
-    mgr.push(b0, input);
+  for (SessionManager* mgr : {one_shard.get(), four_shards.get()}) {
+    const ServeReport served = mgr->report();
+    EXPECT_GT(served.corrections, 0u);
+    EXPECT_EQ(served.dropped_inputs, 0u);
+    EXPECT_LT(served.active_particles, kSmokeSessions * 1024);
+
+    mgr->pump();
+    mgr->pump();
+    EXPECT_EQ(mgr->evict_idle(2), kSmokeSessions);
+    const ServeReport idle = mgr->report();
+    EXPECT_EQ(idle.live_sessions, 0u);
+    EXPECT_EQ(idle.resident_particle_bytes, 0u);
+    EXPECT_GT(idle.stashed_snapshot_bytes, 0u);
+    EXPECT_GT(idle.arena_pooled_bytes, 0u);
+    EXPECT_EQ(idle.corrections, served.corrections);
+    EXPECT_EQ(idle.latency.count, served.latency.count);
   }
-  const std::size_t corrected = mgr.pump();
-  EXPECT_GT(corrected, 0u);
+}
 
-  const ServeReport rep = mgr.report();
-  EXPECT_EQ(rep.sessions, 3u);
-  EXPECT_EQ(rep.processed_inputs, 36u);
-  EXPECT_EQ(rep.corrections, corrected);
-  EXPECT_EQ(rep.latency.count, corrected);
-  EXPECT_GT(rep.pump_seconds, 0.0);
-  EXPECT_GT(rep.corrections_per_second, 0.0);
+// Ten inputs pushed before one pump: a queue of 32 keeps them all, a
+// queue of 4 processes the newest 4 and drops 6, and the drops reach the
+// report per map and globally, survive eviction and head each session's
+// block of correction_trace().
+TEST(SessionManager, ReportAggregatesPerMapAndGlobally) {
+  constexpr std::size_t kInputs = 10;
+  for (const std::size_t capacity : {std::size_t{32}, std::size_t{4}}) {
+    SCOPED_TRACE(capacity);
+    const std::size_t processed = std::min(kInputs, capacity);
+    const std::size_t dropped = kInputs - processed;
+    SessionManager mgr(serve_options(2));
+    mgr.define_map("maze_a", maze_maps());
+    mgr.define_map("maze_b", maze_maps());
+    SessionOptions opts;
+    opts.config = base_config();
+    opts.queue_capacity = capacity;
+    opts.start = StartPose{Pose2{0.5, 0.5, 0.0}, 0.1, 0.05};
+    const std::size_t a0 = mgr.open_session("maze_a", opts);
+    const std::size_t a1 = mgr.open_session("maze_a", opts);
+    const std::size_t b0 = mgr.open_session("maze_b", opts);
 
-  ASSERT_EQ(rep.per_map.size(), 2u);
-  EXPECT_EQ(rep.per_map[0].map, "maze_a");
-  EXPECT_EQ(rep.per_map[0].sessions, 2u);
-  EXPECT_EQ(rep.per_map[1].map, "maze_b");
-  EXPECT_EQ(rep.per_map[1].sessions, 1u);
-  EXPECT_EQ(rep.per_map[0].corrections + rep.per_map[1].corrections,
-            rep.corrections);
-  EXPECT_EQ(rep.per_map[0].latency.count + rep.per_map[1].latency.count,
-            rep.latency.count);
-  EXPECT_EQ(rep.dropped_inputs, 0u);
+    for (const auto& input : synthetic_stream(kInputs)) {
+      mgr.push(a0, input);
+      mgr.push(a1, input);
+      mgr.push(b0, input);
+    }
+    const std::size_t corrected = mgr.pump();
+    EXPECT_GT(corrected, 0u);
+    for (const std::size_t id : {a0, a1, b0}) {
+      EXPECT_EQ(mgr.session(id).processed_inputs(), processed);
+      EXPECT_EQ(mgr.session(id).dropped_inputs(), dropped);
+    }
+
+    const ServeReport rep = mgr.report();
+    EXPECT_EQ(rep.sessions, 3u);
+    EXPECT_EQ(rep.processed_inputs, 3 * processed);
+    EXPECT_EQ(rep.dropped_inputs, 3 * dropped);
+    EXPECT_EQ(rep.corrections, corrected);
+    EXPECT_EQ(rep.latency.count, corrected);
+    EXPECT_GT(rep.pump_seconds, 0.0);
+    EXPECT_GT(rep.corrections_per_second, 0.0);
+
+    ASSERT_EQ(rep.per_map.size(), 2u);
+    EXPECT_EQ(rep.per_map[0].map, "maze_a");
+    EXPECT_EQ(rep.per_map[0].sessions, 2u);
+    EXPECT_EQ(rep.per_map[0].dropped_inputs, 2 * dropped);
+    EXPECT_EQ(rep.per_map[1].map, "maze_b");
+    EXPECT_EQ(rep.per_map[1].sessions, 1u);
+    EXPECT_EQ(rep.per_map[1].dropped_inputs, dropped);
+    EXPECT_EQ(rep.per_map[0].corrections + rep.per_map[1].corrections,
+              rep.corrections);
+    EXPECT_EQ(rep.per_map[0].latency.count + rep.per_map[1].latency.count,
+              rep.latency.count);
+
+    // Each session's header line: id, map key, corrections, drops.
+    const std::string trace = "\n" + correction_trace(mgr);
+    for (const std::size_t id : {a0, a1, b0}) {
+      const std::string header =
+          "\n" + std::to_string(id) + ' ' + mgr.session(id).map_key() + ' ' +
+          std::to_string(mgr.session(id).corrections()) + ' ' +
+          std::to_string(dropped) + '\n';
+      EXPECT_NE(trace.find(header), std::string::npos) << header;
+    }
+
+    mgr.evict_session(b0);
+    const ServeReport evicted = mgr.report();
+    EXPECT_EQ(evicted.evicted_sessions, 1u);
+    EXPECT_EQ(evicted.dropped_inputs, 3 * dropped);
+    ASSERT_EQ(evicted.per_map.size(), 2u);
+    EXPECT_EQ(evicted.per_map[1].dropped_inputs, dropped);
+  }
 }
 
 TEST(SessionManager, ConcurrentOpensOnOneMapShareOneBuild) {
